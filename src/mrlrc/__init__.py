@@ -32,7 +32,6 @@ from .errors import ParameterError, SizeRefusal
 from .gf import Field, FieldSpec, parse_field
 from .matroid import (
     Matroid,
-    MemoMatroid,
     MinorView,
     TableMatroid,
     check_axioms,

@@ -69,32 +69,28 @@ def q_lower_gopalan(p: MrParams) -> int:
     return p.k + 1
 
 
-def q_lower_unconditional(p: MrParams) -> int:
-    """Field-size bound not relying on the MDS conjecture, clamped at 2.
+def _q_unconditional_raw(p: MrParams) -> int:
+    """Field-size bound not relying on the MDS conjecture, before clamping.
 
     r = 2: n - k - ceil(k/r) + 2.  r >= 3: n - k + 1 - max(j, 0) with
     j = floor(-h/2) + g.  r = 1 has no rank-2 minor family; the best
     available MDS length bound comes from the rank-k minor of size n - g.
     """
     if p.r == 1:
-        val = p.n - p.g - p.k + 1
-    elif p.r == 2:
-        val = p.n - p.k - _ceil_div(p.k, p.r) + 2
-    else:
-        j = (-p.h) // 2 + p.g
-        val = p.n - p.k + 1 - max(j, 0)
-    return max(val, 2)
+        return p.n - p.g - p.k + 1
+    if p.r == 2:
+        return p.n - p.k - _ceil_div(p.k, p.r) + 2
+    return p.n - p.k + 1 - max((-p.h) // 2 + p.g, 0)
+
+
+def q_lower_unconditional(p: MrParams) -> int:
+    """Field-size bound not relying on the MDS conjecture, clamped at 2."""
+    return max(_q_unconditional_raw(p), 2)
 
 
 def q_unconditional_is_vacuous(p: MrParams) -> bool:
     """True when the raw formula value fell below 2 and was clamped."""
-    if p.r == 1:
-        raw = p.n - p.g - p.k + 1
-    elif p.r == 2:
-        raw = p.n - p.k - _ceil_div(p.k, p.r) + 2
-    else:
-        raw = p.n - p.k + 1 - max((-p.h) // 2 + p.g, 0)
-    return raw < 2
+    return _q_unconditional_raw(p) < 2
 
 
 def achieving_ranks(p: MrParams) -> list[int]:

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse/usage error, 3 invalid parameters,
-4 size refusal, 5 certification answered false (code check only).
+Exit codes: 0 success, 1 a check answered false (axioms, witness
+--verify, or sweep with no rows), 2 parse/usage error, 3 invalid
+parameters, 4 size refusal, 5 certification answered false (code check
+only).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ParameterError, SizeRefusal
-from .gf import Field, FieldSpec, mat_rank, nullspace, parse_field
+from .gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field
 from .matroid import Matroid
 from .mr import MrParams
 from .subsets import bits_of, full_mask, mask_of, popcount
@@ -138,27 +138,11 @@ def shorten(gm: GenMatrix, x: int) -> GenMatrix:
     """
     if x & ~full_mask(gm.n):
         raise ParameterError("shorten columns outside [n]")
-    field = Field(gm.field)
-    rows = [list(r) for r in gm.rows]
-    used: list[int] = []
-    for col in bits_of(x):
-        piv = None
-        for i in range(len(rows)):
-            if i not in used and rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        inv = field.inv(rows[piv][col])
-        rows[piv] = [field.mul(inv, v) for v in rows[piv]]
-        for i in range(len(rows)):
-            if i != piv and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(rows[i], rows[piv])]
-        used.append(piv)
+    rows, pivots = _eliminate(Field(gm.field), gm.rows, bits_of(x))
+    used = {i for i, _ in pivots}
     keep = [j for j in range(gm.n) if not x >> j & 1]
     new_rows = tuple(
-        tuple(rows[i][j] for j in keep) for i in range(len(rows)) if i not in used
+        tuple(row[j] for j in keep) for i, row in enumerate(rows) if i not in used
     )
     return GenMatrix(gm.field, len(keep), new_rows)
 
@@ -218,37 +202,26 @@ def write_matrix(gm: GenMatrix) -> str:
 
 
 def read_matrix(text: str) -> GenMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if len(lines) < 2:
         raise ValueError("matrix file needs a field line and a dimension line")
     head = lines[0].split()
-    if head[0] != "field":
+    if head[0] != "field" or len(head) < 2:
         raise ValueError(f"expected 'field ...' on line 1, got {lines[0]!r}")
     spec_txt = head[1]
-    modulus = None
     for tok in head[2:]:
-        if tok.startswith("modulus="):
-            modulus = int(tok.split("=", 1)[1])
-        else:
+        if not tok.startswith("modulus="):
             raise ValueError(f"unknown field option {tok!r}")
-    if "^" in spec_txt:
-        ptxt, mtxt = spec_txt.split("^", 1)
-        field = FieldSpec(int(ptxt), int(mtxt), modulus)
-    else:
-        if modulus is not None:
-            raise ValueError("prime fields take no modulus")
-        field = FieldSpec(int(spec_txt))
+        spec_txt += ":" + tok.split("=", 1)[1]
+    field = parse_field(spec_txt)
     try:
         k, n = (int(v) for v in lines[1].split())
     except ValueError as exc:
         raise ValueError(f"bad dimension line {lines[1]!r}") from exc
-    rows = []
-    for ln in lines[2:]:
-        rows.append(tuple(int(v) for v in ln.split()))
+    rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[2:])
     if len(rows) != k:
         raise ValueError(f"expected {k} rows, found {len(rows)}")
-    gm = GenMatrix(field, n, tuple(rows))
-    return gm
+    return GenMatrix(field, n, rows)
 
 
 __all__ = [

@@ -226,62 +226,48 @@ class Field:
         return self.mul(a, self.inv(b))
 
 
-def mat_rank(field: Field, rows) -> int:
-    """Row-echelon rank by Gaussian elimination over the field."""
+def _eliminate(field: Field, rows, cols):
+    """Gauss-Jordan elimination over `cols` in order, without row swaps.
+
+    Each column's pivot is the first row without a pivot that is nonzero
+    there.  Stops once every row has a pivot.  Returns the reduced rows and
+    the [(pivot row, column), ...] list in column order.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
+    used = [False] * len(rows)
+    pivots = []
+    for col in cols:
+        if len(pivots) == len(rows):
+            break
         piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
+        for i, row in enumerate(rows):
+            if not used[i] and row[col] != 0:
                 piv = i
                 break
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        used[piv] = True
+        inv = field.inv(rows[piv][col])
+        prow = rows[piv] = [field.mul(inv, v) for v in rows[piv]]
+        for i, row in enumerate(rows):
+            if i != piv and row[col] != 0:
+                f = row[col]
+                rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(row, prow)]
+        pivots.append((piv, col))
+    return rows, pivots
+
+
+def mat_rank(field: Field, rows) -> int:
+    """Rank by Gaussian elimination over the field."""
+    rows = list(rows)
+    return len(_eliminate(field, rows, range(len(rows[0]) if rows else 0))[1])
 
 
 def rref(field: Field, rows):
     """Reduced row-echelon form; returns (nonzero rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
+    rows = list(rows)
+    red, pivots = _eliminate(field, rows, range(len(rows[0]) if rows else 0))
+    return [red[i] for i, _ in pivots], [col for _, col in pivots]
 
 
 def nullspace(field: Field, rows):

@@ -10,6 +10,7 @@ submasks of `ground` and refuse above their stated size limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .subsets import (
 
 _AXIOM_LIMIT = 14
 _FLATS_LIMIT = 24
+_RANK_BATCH = 1 << 16  # masks per rank_array call; bounds memory of big scans
 
 
 class Matroid:
@@ -82,23 +84,6 @@ def uniform_matroid(n: int, k: int) -> TableMatroid:
     return TableMatroid(n, np.minimum(popcount_array(masks), k))
 
 
-class MemoMatroid(Matroid):
-    """Caching wrapper for expensive rank oracles (e.g. linear matroids)."""
-
-    def __init__(self, base: Matroid):
-        self.base = base
-        self.width = base.width
-        self.ground = base.ground
-        self._cache: dict[int, int] = {}
-
-    def rank(self, x: int) -> int:
-        r = self._cache.get(x)
-        if r is None:
-            r = self.base.rank(x)
-            self._cache[x] = r
-        return r
-
-
 class MinorView(Matroid):
     """Minor of a base matroid: contract a set, keep a disjoint set.
 
@@ -151,11 +136,11 @@ def minor(m: Matroid, contract_x: int, delete_y: int) -> MinorView:
     return MinorView(m, contract_x, m.ground & ~contract_x & ~delete_y)
 
 
-def rank_vector(m: Matroid, masks: np.ndarray, chunk: int = 1 << 18) -> np.ndarray:
-    """rank_array in chunks (keeps memory bounded for big enumerations)."""
+def rank_vector(m: Matroid, masks: np.ndarray) -> np.ndarray:
+    """rank_array in batches of _RANK_BATCH masks."""
     out = np.empty(len(masks), dtype=np.int64)
-    for i in range(0, len(masks), chunk):
-        out[i : i + chunk] = m.rank_array(masks[i : i + chunk])
+    for i in range(0, len(masks), _RANK_BATCH):
+        out[i : i + _RANK_BATCH] = m.rank_array(masks[i : i + _RANK_BATCH])
     return out
 
 
@@ -177,22 +162,24 @@ class AxiomReport:
         return self.r1_ok and self.r2_ok and self.r3_ok
 
 
-def check_axioms(m: Matroid, chunk: int = 256) -> AxiomReport:
+def check_axioms(m: Matroid) -> AxiomReport:
     """Exhaustive check of (R.1) bounds, (R.2) monotonicity, (R.3) submodularity.
 
-    Enumerates all 4^t subset pairs; refuses when the ground set has more
-    than 14 elements.  On failure the report carries the first violating
-    (X, Y) pair in ascending mask order.
+    R.2 and R.3 are checked in their local forms, which imply the global
+    ones: r(X) <= r(X+a), and r(X+a) + r(X+b) >= r(X+a+b) + r(X) for
+    distinct a, b outside X.  Refuses ground sets above 14 elements.
+    Counterexamples are violating pairs: (X, X) for R1, (X, X+a) for R2 and
+    (X+a, X+b) for R3, at the first element (pair) that has one.
     """
     t = m.ground_size
     if t > _AXIOM_LIMIT:
         raise SizeRefusal(
-            f"axiom check enumerates 4^{t} pairs; limit is ground size {_AXIOM_LIMIT}"
+            f"axiom check walks 2^{t} subsets per element pair; limit is ground size {_AXIOM_LIMIT}"
         )
+    # subs is ascending, so bit i of an index into it is the i-th ground element
     subs = _ground_submasks(m)
     rk = rank_vector(m, subs)
-    table = np.full(1 << m.width, -1, dtype=np.int64)
-    table[subs] = rk
+    idx = np.arange(len(subs))
 
     report = AxiomReport(True, True, True)
 
@@ -202,25 +189,24 @@ def check_axioms(m: Matroid, chunk: int = 256) -> AxiomReport:
         report.r1_ok = False
         report.counterexamples["R1"] = (int(subs[i]), int(subs[i]))
 
-    for lo in range(0, len(subs), chunk):
-        xs = subs[lo : lo + chunk]
-        rx = rk[lo : lo + chunk][:, None]
-        xs2 = xs[:, None]
-        ys = subs[None, :]
-        ry = rk[None, :]
-        if report.r2_ok:
-            bad2 = ((xs2 & ~ys) == 0) & (rx > ry)
-            if bad2.any():
-                i, j = np.argwhere(bad2)[0]
-                report.r2_ok = False
-                report.counterexamples["R2"] = (int(xs[i]), int(subs[j]))
-        if report.r3_ok:
-            bad3 = rx + ry < table[xs2 | ys] + table[xs2 & ys]
-            if bad3.any():
-                i, j = np.argwhere(bad3)[0]
-                report.r3_ok = False
-                report.counterexamples["R3"] = (int(xs[i]), int(subs[j]))
-        if not (report.r2_ok or report.r3_ok):
+    for i in range(t):
+        a = 1 << i
+        xs = idx[(idx & a) == 0]
+        bad2 = rk[xs] > rk[xs | a]
+        if bad2.any():
+            x = xs[np.argmax(bad2)]
+            report.r2_ok = False
+            report.counterexamples["R2"] = (int(subs[x]), int(subs[x | a]))
+            break
+
+    for i, j in combinations(range(t), 2):
+        a, b = 1 << i, 1 << j
+        xs = idx[(idx & (a | b)) == 0]
+        bad3 = rk[xs | a] + rk[xs | b] < rk[xs | a | b] + rk[xs]
+        if bad3.any():
+            x = xs[np.argmax(bad3)]
+            report.r3_ok = False
+            report.counterexamples["R3"] = (int(subs[x | a]), int(subs[x | b]))
             break
     return report
 
@@ -283,7 +269,7 @@ def flats_of_minor_check(m: Matroid, f: int, x: int) -> bool:
     return direct_d == via_m2
 
 
-def is_uniform(m: Matroid, chunk: int = 1 << 16):
+def is_uniform(m: Matroid):
     """Return (ground_size, k) if m is the uniform matroid of its rank, else None.
 
     Uses the standard reduction: m is uniform iff every subset of size
@@ -293,21 +279,11 @@ def is_uniform(m: Matroid, chunk: int = 1 << 16):
     k = m.full_rank()
     if k == 0:
         return (t, 0)
-    buf = []
-    for mask in masks_of_size(m.ground, k):
-        buf.append(mask)
-        if len(buf) >= chunk:
-            if not _all_rank(m, buf, k):
-                return None
-            buf = []
-    if buf and not _all_rank(m, buf, k):
-        return None
+    subsets = masks_of_size(m.ground, k)
+    while batch := list(islice(subsets, _RANK_BATCH)):
+        if (m.rank_array(np.array(batch, dtype=np.int64)) != k).any():
+            return None
     return (t, k)
-
-
-def _all_rank(m: Matroid, masks: list[int], k: int) -> bool:
-    arr = np.array(masks, dtype=np.int64)
-    return bool((m.rank_array(arr) == k).all())
 
 
 def is_uniform_by_definition(m: Matroid):

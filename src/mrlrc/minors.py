@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
+from .bounds import eq3_size
 from .errors import ParameterError, SizeRefusal
 from .matroid import (
     Matroid,
@@ -128,10 +129,29 @@ def witness_eq2(m: MrMatroid) -> MinorWitness:
     return _verified(m, w)
 
 
-def eq3_formula(p, k_prime: int) -> tuple[int, int]:
-    """(formula size, j) for the rank-k' proposition; floor is toward -infinity."""
-    j = (-p.h) // k_prime + p.g
-    return p.n - p.k + k_prime - max(j, 0), j
+def _spread(p, need_total: int, cap: int) -> int | None:
+    """Contract set of rank need_total: j whole repair sets plus a spread.
+
+    The spread takes at most `cap` lowest elements of each following block;
+    j is the least count for which it fits.  None when no j fits or that j
+    already overshoots need_total.
+    """
+    for j in range(p.g):
+        need = need_total - j * p.r
+        if need <= (p.g - j) * cap:
+            break
+    else:
+        return None
+    if need < 0:
+        return None
+    f = 0
+    for b in p.repair_sets[:j]:
+        f |= b
+    for b in p.repair_sets[j:]:
+        take = min(need, cap)
+        f |= lowest_bits(b, take)
+        need -= take
+    return f
 
 
 def witness_eq3(m: MrMatroid, k_prime: int) -> MinorWitness:
@@ -145,35 +165,13 @@ def witness_eq3(m: MrMatroid, k_prime: int) -> MinorWitness:
     flagged as a boundary case.
     """
     p = m.params
-    n, k, r, g = p.n, p.k, p.r, p.g
-    if not 2 <= k_prime <= r - 1:
-        raise ParameterError(f"rank target must satisfy 2 <= k' <= r-1, got k'={k_prime}, r={r}")
-    formula_size, _ = eq3_formula(p, k_prime)
-
-    cap = r - k_prime
-    need_total = k - k_prime
-    j = None
-    for jp in range(g):
-        if need_total - jp * r <= (g - jp) * cap:
-            j = jp
-            break
-    if j is None or need_total - j * r < 0:
+    if not 2 <= k_prime <= p.r - 1:
+        raise ParameterError(f"rank target must satisfy 2 <= k' <= r-1, got k'={k_prime}, r={p.r}")
+    formula_size = eq3_size(p, k_prime)
+    f = _spread(p, p.k - k_prime, p.r - k_prime)
+    if f is None:
         return _bounded_search_fallback(m, k_prime, formula_size)
-
-    f = 0
-    for b in p.repair_sets[:j]:
-        f |= b
-    need = need_total - j * r
-    for b in p.repair_sets[j:]:
-        if need <= 0:
-            break
-        take = min(need, cap)
-        f |= lowest_bits(b, take)
-        need -= take
-    if need > 0:
-        return _bounded_search_fallback(m, k_prime, formula_size)
-
-    size = n - popcount(f)
+    size = p.n - popcount(f)
     w = MinorWitness(
         f, 0, k_prime, size,
         boundary_case=size != formula_size,
@@ -204,25 +202,9 @@ def witness_eq4(m: MrMatroid, k_prime: int) -> MinorWitness:
     n, k, r, g = p.n, p.k, p.r, p.g
     if not r < k_prime < k:
         raise ParameterError(f"rank target must satisfy r < k' < k, got k'={k_prime}")
-    need_total = k - k_prime
-    j = None
-    for jp in range(g):
-        if need_total - jp * r <= (g - jp) * (r - 1):
-            j = jp
-            break
-    if j is None or need_total - j * r < 0:
+    f = _spread(p, k - k_prime, r - 1)
+    if f is None:
         raise RuntimeError("no repair-set split reaches the required contraction rank")
-
-    f = 0
-    for b in p.repair_sets[:j]:
-        f |= b
-    need = need_total - j * r
-    for b in p.repair_sets[j:]:
-        if need <= 0:
-            break
-        take = min(need, r - 1)
-        f |= lowest_bits(b, take)
-        need -= take
 
     x = 0
     for b in p.repair_sets:

@@ -24,6 +24,7 @@ from .subsets import (
 )
 
 _MR_FLATS_LIMIT = 24
+_MR_FLATS_CHUNK = 1 << 20  # masks per vectorised step of mr_flats
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def make_mr(n: int, k: int, r: int, partition=None) -> MrMatroid:
     return MrMatroid(make_params(n, k, r, partition))
 
 
-def mr_flats(m: MrMatroid, chunk: int = 1 << 20) -> list[int]:
+def mr_flats(m: MrMatroid) -> list[int]:
     """Flats from the closed-form characterization, sorted by (size, mask).
 
     F != E is a flat iff no repair set meets F in exactly r elements and
@@ -150,8 +151,8 @@ def mr_flats(m: MrMatroid, chunk: int = 1 << 20) -> list[int]:
         raise SizeRefusal(f"mr_flats enumerates 2^{p.n} subsets; limit is n <= {_MR_FLATS_LIMIT}")
     out = []
     total = 1 << p.n
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+    for lo in range(0, total, _MR_FLATS_CHUNK):
+        masks = np.arange(lo, min(lo + _MR_FLATS_CHUNK, total), dtype=np.int64)
         full = np.zeros(len(masks), dtype=np.int64)
         bad = np.zeros(len(masks), dtype=bool)
         for b in p.repair_sets:

@@ -84,7 +84,11 @@ def parse_indices(text: str) -> int:
     text = text.strip()
     if not text:
         return 0
-    return mask_of(int(tok) for tok in text.split(","))
+    indices = [int(tok) for tok in text.split(",")]
+    for i in indices:
+        if i < 0:
+            raise ValueError(f"negative index {i} in {text!r}")
+    return mask_of(indices)
 
 
 # SWAR popcount for uint64 numpy arrays (no np.bitwise_count dependency).

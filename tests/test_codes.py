@@ -148,6 +148,10 @@ def test_read_matrix_errors():
         read_matrix("matrix 7\n1 1\n0\n")  # missing field keyword
     with pytest.raises(ValueError):
         read_matrix("field 7 modulus=3\n1 1\n0\n")  # prime field with modulus
+    with pytest.raises(ValueError):
+        read_matrix("field\n1 1\n0\n")  # field line without a field
+    with pytest.raises(ValueError):
+        read_matrix("field 2^2 degree=2\n1 1\n0\n")  # unknown field option
 
 
 def test_read_matrix_extension_field():
@@ -155,3 +159,30 @@ def test_read_matrix_extension_field():
     gm = read_matrix(text)
     assert gm.field == FieldSpec(2, 2, 7)
     assert gm.rows == ((1, 2, 3),)
+    text = "field 2^8 modulus=285\n1 3\n255 0 7\n"
+    gm = read_matrix(text)
+    assert gm.field == FieldSpec(2, 8, 285)
+    assert write_matrix(gm) == text
+
+
+def test_read_matrix_indented_comment():
+    gm = read_matrix("field 13\n  # note\n1 3\n1 2 3\n")
+    assert gm.field == FieldSpec(13)
+    assert gm.rows == ((1, 2, 3),)
+
+
+def test_shorten_pinned_extension_field():
+    # the shortened matrix is fixed by the pivot order: first unused row, no swaps
+    rows = [
+        [0, 7, 0, 19, 200, 1, 0, 255],
+        [6, 3, 0, 14, 33, 90, 2, 17],
+        [5, 0, 11, 0, 128, 64, 32, 16],
+        [9, 1, 4, 0, 77, 0, 150, 3],
+    ]
+    gm = matrix_from_rows(FieldSpec(2, 8, 285), rows)
+    assert write_matrix(shorten(gm, mask_of([0, 2]))) == (
+        "field 2^8 modulus=285\n"
+        "2 6\n"
+        "7 19 200 1 0 255\n"
+        "18 165 135 30 240 43\n"
+    )

@@ -5,7 +5,6 @@ import pytest
 
 from mrlrc.errors import ParameterError, SizeRefusal
 from mrlrc.matroid import (
-    MemoMatroid,
     MinorView,
     TableMatroid,
     check_axioms,
@@ -22,7 +21,7 @@ from mrlrc.matroid import (
     uniform_matroid,
 )
 from mrlrc.mr import make_mr
-from mrlrc.subsets import full_mask, mask_of, popcount, submasks
+from mrlrc.subsets import full_mask, mask_of, popcount, popcount_array, submasks
 
 
 def test_axioms_pass_uniform():
@@ -42,6 +41,80 @@ def test_axioms_fail_non_monotone():
     table[0b11] = 0
     report = check_axioms(TableMatroid(4, table))
     assert not report.passed
+
+
+def _pair_scan(m):
+    """Reference axiom check: (R1, R2, R3) verdicts over all 4^t subset pairs."""
+    subs = np.array(submasks(m.ground), dtype=np.int64)
+    rk = rank_vector(m, subs)
+    table = np.full(1 << m.width, -1, dtype=np.int64)
+    table[subs] = rk
+    x, y = subs[:, None], subs[None, :]
+    rx, ry = rk[:, None], rk[None, :]
+    r1 = not ((rk < 0) | (rk > popcount_array(subs))).any()
+    r2 = not (((x & ~y) == 0) & (rx > ry)).any()
+    r3 = not (rx + ry < table[x | y] + table[x & y]).any()
+    return r1, r2, r3
+
+
+def _assert_matches_pair_scan(m):
+    report = check_axioms(m)
+    assert (report.r1_ok, report.r2_ok, report.r3_ok) == _pair_scan(m)
+    for name, (x, y) in report.counterexamples.items():
+        assert (x | y) & ~m.ground == 0
+        if name == "R2":
+            assert x & ~y == 0 and m.rank(x) > m.rank(y)
+        elif name == "R3":
+            assert m.rank(x) + m.rank(y) < m.rank(x | y) + m.rank(x & y)
+    return report
+
+
+def _random_table(rng, n):
+    """Rank table of a matroid, of a matroid with 1-2 entries nudged, or arbitrary."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        return [rng.randrange(-1, n + 2) for _ in range(1 << n)]
+    # truncated direct sum of uniform matroids on a random partition
+    label = [rng.randrange(3) for _ in range(n)]
+    blocks = [mask_of(i for i in range(n) if label[i] == c) for c in range(3)]
+    caps = [rng.randint(0, popcount(b)) for b in blocks]
+    k = rng.randint(0, n)
+    table = [
+        min(k, sum(min(popcount(s & b), c) for b, c in zip(blocks, caps)))
+        for s in range(1 << n)
+    ]
+    for _ in range(kind):
+        table[rng.randrange(1 << n)] += rng.choice((-1, 1))
+    return table
+
+
+def test_axioms_local_forms_match_pair_scan():
+    broken_empty = [min(popcount(m), 2) for m in range(16)]
+    broken_empty[0] = 1
+    broken_mono = [min(popcount(m), 2) for m in range(16)]
+    broken_mono[0b11] = 0
+    for table in (broken_empty, broken_mono):
+        assert not _assert_matches_pair_scan(TableMatroid(4, table)).passed
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(240):
+        n = rng.randint(1, 8)
+        report = _assert_matches_pair_scan(TableMatroid(n, _random_table(rng, n)))
+        verdicts.add((report.r1_ok, report.r2_ok, report.r3_ok))
+    # the random tables reach passing and failing verdicts of every axiom
+    assert (True, True, True) in verdicts
+    for i in range(3):
+        assert any(not v[i] for v in verdicts)
+
+
+def test_axioms_local_forms_on_minor_views():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(3, 8)
+        base = TableMatroid(n, _random_table(rng, n))
+        x = rng.getrandbits(n)
+        y = rng.getrandbits(n) & ~x
+        _assert_matches_pair_scan(minor(base, x, y))
 
 
 def test_axioms_pass_mr():
@@ -213,14 +286,6 @@ def test_flats_refusal():
     m = make_mr(28, 14, 3)
     with pytest.raises(SizeRefusal):
         flats(m)
-
-
-def test_memo_matroid_same_ranks():
-    base = make_mr(8, 4, 3)
-    memo = MemoMatroid(base)
-    for s in submasks(base.ground)[:64]:
-        assert memo.rank(s) == base.rank(s)
-    assert memo.rank(base.ground) == 4  # cached path
 
 
 def test_minor_view_flattening():

@@ -24,6 +24,11 @@ def test_mask_roundtrip():
     assert format_indices(0) == ""
 
 
+def test_parse_indices_rejects_negative():
+    with pytest.raises(ValueError, match=r"negative index -1 in '0,1,2,-1'"):
+        parse_indices("0,1,2,-1")
+
+
 def test_full_mask_bounds():
     assert full_mask(0) == 0
     assert full_mask(3) == 0b111
