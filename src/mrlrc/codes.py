@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import ParameterError, SizeRefusal
 from .gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field
@@ -80,10 +81,14 @@ def code_to_matroid(gm: GenMatrix) -> LinearMatroid:
     return LinearMatroid(gm)
 
 
+def _column_sets(n: int, k: int) -> str:
+    return f"would rank C({n},{k}) = {comb(n, k)} column sets; limit is n <= {_CODE_LIMIT}"
+
+
 def is_mds_code(gm: GenMatrix) -> bool:
     """True iff every k columns are linearly independent (and the rows are too)."""
     if gm.n > _CODE_LIMIT:
-        raise SizeRefusal(f"MDS check enumerates C(n, k) column sets; limit is n <= {_CODE_LIMIT}")
+        raise SizeRefusal(f"MDS check {_column_sets(gm.n, gm.k)}")
     field = Field(gm.field)
     k = gm.k
     if mat_rank(field, [list(r) for r in gm.rows]) != k:
@@ -106,7 +111,7 @@ def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
             f"matrix is [{gm.n},{gm.k}], parameters ask for [{p.n},{p.k}]"
         )
     if gm.n > _CODE_LIMIT:
-        raise SizeRefusal(f"MR check limited to n <= {_CODE_LIMIT}")
+        raise SizeRefusal(f"MR check {_column_sets(p.n, p.k)}")
     field = Field(gm.field)
     for b in p.repair_sets:
         if mat_rank(field, gm.submatrix_columns(bits_of(b))) > p.r:

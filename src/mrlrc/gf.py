@@ -5,10 +5,17 @@ GF(p) packed little-endian in base p (so for p = 2 an element is just the
 bit pattern of its polynomial).  Extension moduli are encoded the same way
 and must be monic and irreducible; irreducibility is verified by trial
 division at construction.
+
+Arithmetic runs on log/antilog/Zech-logarithm tables, built once per field
+on its first use (the table technique of Plank, Greenan and Miller, FAST
+2013): a product, inverse or negation is a sum of logs, a sum is a Zech
+lookup.  The digit-polynomial routines below only build the tables of
+odd-characteristic extensions and test moduli for irreducibility.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -165,12 +172,58 @@ def parse_field(text: str) -> FieldSpec:
     return FieldSpec(int(text))
 
 
+def _construction_mul(spec: FieldSpec, a: int, b: int) -> int:
+    """a * b for building the tables only: % p, shift/xor for p = 2, digit polynomials otherwise."""
+    p, m = spec.p, spec.m
+    if m == 1:
+        return a * b % p
+    if p == 2:
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a >> m:
+                a ^= spec.modulus
+        return out
+    return _poly_mod(_poly_mul(a, b, p), spec.modulus, p)
+
+
+@functools.cache
+def _tables(spec: FieldSpec) -> tuple[list, list, list]:
+    """(exp, log, zech) of GF(q) for the first primitive element g.
+
+    exp[i] = g^(i mod (q-1)) for 0 <= i < 2(q-1), doubled so that a sum of
+    two logs needs no reduction; log[g^i] = i and log[0] = None;
+    zech[n] = log(1 + g^n), None where 1 + g^n = 0.  The modulus need not
+    be primitive, so g is searched for.  Built once per spec, on the first
+    Field(spec), without going through Field.
+    """
+    p, q = spec.p, spec.q
+    for g in range(1, q):
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = _construction_mul(spec, x, g)
+        if len(powers) == q - 1:
+            break
+    log = [None] * q
+    for i, x in enumerate(powers):
+        log[x] = i
+    # 1 + x adds 1 to the constant digit x % p
+    zech = [log[x - x % p + (x + 1) % p] for x in powers]
+    return powers + powers, log, zech
+
+
 class Field:
-    """Arithmetic on canonical integer elements of GF(p^m)."""
+    """Arithmetic on canonical integer elements of GF(p^m), by table lookup."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.q = spec.q
+        self._exp, self._log, self._zech = _tables(spec)
+        self._log_minus_one = self._log[spec.p - 1]  # the integer p - 1 encodes -1
 
     def _check(self, x: int) -> None:
         if not 0 <= x < self.q:
@@ -179,21 +232,18 @@ class Field:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        s = self.spec
-        if s.m == 1:
-            return (a + b) % s.p
-        da, db = _digits(a, s.p), _digits(b, s.p)
-        length = max(len(da), len(db))
-        da += [0] * (length - len(da))
-        db += [0] * (length - len(db))
-        return _undigits(((x + y) % s.p for x, y in zip(da, db)), s.p)
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^la + g^lb = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         self._check(a)
-        s = self.spec
-        if s.m == 1:
-            return (-a) % s.p
-        return _undigits(((-c) % s.p for c in _digits(a, s.p)), s.p)
+        return self._exp[self._log[a] + self._log_minus_one] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -201,26 +251,13 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        s = self.spec
-        if s.m == 1:
-            return (a * b) % s.p
-        return _poly_mod(_poly_mul(a, b, s.p), s.modulus, s.p)
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        s = self.spec
-        if s.m == 1:
-            return pow(a, s.p - 2, s.p)
-        # a^(q-2) by square and multiply
-        result, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -56,6 +56,15 @@ def test_mds_refusal():
         is_mds_code(gm)
 
 
+def test_refusals_state_the_work():
+    # the refused count of column sets is named, C(30, 15) = 155117520
+    gm = matrix_from_rows(FieldSpec(13), [[0] * 30 for _ in range(15)])
+    with pytest.raises(SizeRefusal, match=r"C\(30,15\) = 155117520 column sets; limit is n <= 24"):
+        is_mds_code(gm)
+    with pytest.raises(SizeRefusal, match=r"C\(30,15\) = 155117520 column sets; limit is n <= 24"):
+        is_mr_lrc(gm, make_params(30, 15, 4))
+
+
 def test_search_finds_mr_code_and_matches_matroid():
     p = make_params(8, 4, 3)
     gm = search_mr_code(p, FieldSpec(13), trials=200, seed=7)
@@ -65,6 +74,29 @@ def test_search_finds_mr_code_and_matches_matroid():
     m = make_mr(8, 4, 3)
     subs = np.array(submasks(m.ground), dtype=np.int64)
     assert (rank_vector(lm, subs) == rank_vector(m, subs)).all()
+
+
+def test_search_pinned_output():
+    # random trials depend only on the seed; trial 0 of the GF(2^8) search is rejected
+    p = make_params(8, 4, 3)
+    gm = search_mr_code(p, FieldSpec(2, 8, 285), trials=5, seed=4)
+    assert write_matrix(gm) == (
+        "field 2^8 modulus=285\n"
+        "4 8\n"
+        "102 252 155 1 0 0 0 0\n"
+        "230 142 104 0 1 1 0 0\n"
+        "88 92 4 0 1 0 1 0\n"
+        "170 204 102 0 1 0 0 1\n"
+    )
+    gm = search_mr_code(p, FieldSpec(13), trials=200, seed=7)
+    assert write_matrix(gm) == (
+        "field 13\n"
+        "4 8\n"
+        "6 8 11 1 0 0 0 0\n"
+        "8 7 11 0 12 1 0 0\n"
+        "3 3 7 0 12 0 1 0\n"
+        "6 11 9 0 12 0 0 1\n"
+    )
 
 
 def test_search_is_deterministic():

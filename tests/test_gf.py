@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mrlrc.errors import ParameterError
@@ -154,3 +156,118 @@ def test_nullspace_extension_field():
         for a, b in zip(rows[0], v):
             acc = f.add(acc, f.mul(a, b))
         assert acc == 0
+
+
+# Reference arithmetic: the digit-polynomial routines Field used before its
+# log/antilog/Zech tables, kept here so the tables are checked against an
+# independent path.
+
+
+def _ref_digits(x: int, p: int) -> list[int]:
+    out = []
+    while x:
+        out.append(x % p)
+        x //= p
+    return out
+
+
+def _ref_undigits(ds, p: int) -> int:
+    x = 0
+    for d in reversed(list(ds)):
+        x = x * p + d
+    return x
+
+
+def _ref_add(s: FieldSpec, a: int, b: int) -> int:
+    da, db = _ref_digits(a, s.p), _ref_digits(b, s.p)
+    length = max(len(da), len(db))
+    da += [0] * (length - len(da))
+    db += [0] * (length - len(db))
+    return _ref_undigits(((x + y) % s.p for x, y in zip(da, db)), s.p)
+
+
+def _ref_neg(s: FieldSpec, a: int) -> int:
+    return _ref_undigits(((-c) % s.p for c in _ref_digits(a, s.p)), s.p)
+
+
+def _ref_mul(s: FieldSpec, a: int, b: int) -> int:
+    p = s.p
+    if s.m == 1:
+        return a * b % p
+    da, db = _ref_digits(a, p), _ref_digits(b, p)
+    if not da or not db:
+        return 0
+    prod = [0] * (len(da) + len(db) - 1)
+    for i, ca in enumerate(da):
+        for j, cb in enumerate(db):
+            prod[i + j] = (prod[i + j] + ca * cb) % p
+    dm = _ref_digits(s.modulus, p)  # monic, degree m
+    while prod and prod[-1] == 0:
+        prod.pop()
+    while len(prod) > s.m:
+        shift, lead = len(prod) - 1 - s.m, prod[-1]
+        for i, c in enumerate(dm):
+            prod[shift + i] = (prod[shift + i] - lead * c) % p
+        while prod and prod[-1] == 0:
+            prod.pop()
+    return _ref_undigits(prod, p)
+
+
+def _ref_inv(s: FieldSpec, a: int) -> int:
+    # a^(q-2) by square and multiply
+    result, base, e = 1, a, s.q - 2
+    while e:
+        if e & 1:
+            result = _ref_mul(s, result, base)
+        base = _ref_mul(s, base, base)
+        e >>= 1
+    return result
+
+
+def _assert_matches_reference(s: FieldSpec, f: Field, pairs) -> None:
+    for a, b in pairs:
+        assert f.add(a, b) == _ref_add(s, a, b), (s, a, b)
+        assert f.sub(a, b) == _ref_add(s, a, _ref_neg(s, b)), (s, a, b)
+        assert f.mul(a, b) == _ref_mul(s, a, b), (s, a, b)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FieldSpec(2),
+        FieldSpec(3),
+        FieldSpec(2, 2),
+        FieldSpec(2, 3),
+        FieldSpec(3, 2),
+        FieldSpec(2, 4),
+        FieldSpec(2, 8, 285),
+        FieldSpec(2, 8, 283),  # x has order 51: the modulus is not primitive
+        FieldSpec(13),
+        FieldSpec(257),
+    ],
+    ids=str,
+)
+def test_tables_match_reference_on_every_pair(spec):
+    f = Field(spec)
+    q = spec.q
+    _assert_matches_reference(spec, f, ((a, b) for a in range(q) for b in range(q)))
+    for a in range(q):
+        assert f.neg(a) == _ref_neg(spec, a), a
+        if a:
+            assert f.inv(a) == _ref_inv(spec, a), a
+
+
+@pytest.mark.parametrize(
+    "spec", [FieldSpec(2, 16, 65581), FieldSpec(65521), FieldSpec(3, 5, 250)], ids=str
+)
+def test_tables_match_reference_on_random_pairs(spec):
+    f = Field(spec)
+    rng = random.Random(f"tables:{spec}")
+    pairs = [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(20_000)]
+    _assert_matches_reference(spec, f, pairs)
+    for a, b in pairs:
+        assert f.neg(a) == _ref_neg(spec, a), a
+        # inverses are unique, so this equals _ref_inv without its q - 2 power
+        if b:
+            assert _ref_mul(spec, f.inv(b), b) == 1, b
+            assert _ref_mul(spec, f.div(a, b), b) == a, (a, b)
