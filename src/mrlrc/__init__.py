@@ -39,7 +39,6 @@ from .matroid import (
     contract,
     delete,
     flats,
-    flats_of_minor_check,
     is_uniform,
     minor,
     restrict,

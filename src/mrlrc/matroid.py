@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
 from .subsets import (
@@ -24,7 +23,10 @@ from .subsets import (
     submasks,
 )
 
-_AXIOM_LIMIT = 14
+if TYPE_CHECKING:
+    import numpy as np
+
+_AXIOM_LIMIT = 20
 _FLATS_LIMIT = 24
 _RANK_BATCH = 1 << 16  # masks per rank_array call; bounds memory of big scans
 
@@ -44,6 +46,8 @@ class Matroid:
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized rank; default falls back to the scalar oracle."""
+        import numpy as np
+
         return np.fromiter(
             (self.rank(int(m)) for m in masks), dtype=np.int64, count=len(masks)
         )
@@ -62,6 +66,8 @@ class TableMatroid(Matroid):
     """Explicit rank table on ground {0..n-1}; no axiom validation on input."""
 
     def __init__(self, n: int, table):
+        import numpy as np
+
         self.width = n
         self.ground = full_mask(n)
         self._table = np.asarray(table, dtype=np.int64)
@@ -80,6 +86,8 @@ def uniform_matroid(n: int, k: int) -> TableMatroid:
     """U_n^k as an explicit table."""
     if not 0 <= k <= n:
         raise ParameterError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
+    import numpy as np
+
     masks = np.arange(1 << n, dtype=np.int64)
     return TableMatroid(n, np.minimum(popcount_array(masks), k))
 
@@ -111,6 +119,8 @@ class MinorView(Matroid):
         return self.base.rank(x | self.contract) - self._r0
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return self.base.rank_array(masks | np.int64(self.contract)) - self._r0
 
 
@@ -138,6 +148,8 @@ def minor(m: Matroid, contract_x: int, delete_y: int) -> MinorView:
 
 def rank_vector(m: Matroid, masks: np.ndarray) -> np.ndarray:
     """rank_array in batches of _RANK_BATCH masks."""
+    import numpy as np
+
     out = np.empty(len(masks), dtype=np.int64)
     for i in range(0, len(masks), _RANK_BATCH):
         out[i : i + _RANK_BATCH] = m.rank_array(masks[i : i + _RANK_BATCH])
@@ -145,6 +157,8 @@ def rank_vector(m: Matroid, masks: np.ndarray) -> np.ndarray:
 
 
 def _ground_submasks(m: Matroid) -> np.ndarray:
+    import numpy as np
+
     if m.ground == full_mask(m.width):
         return np.arange(1 << m.width, dtype=np.int64)
     return np.array(submasks(m.ground), dtype=np.int64)
@@ -167,7 +181,7 @@ def check_axioms(m: Matroid) -> AxiomReport:
 
     R.2 and R.3 are checked in their local forms, which imply the global
     ones: r(X) <= r(X+a), and r(X+a) + r(X+b) >= r(X+a+b) + r(X) for
-    distinct a, b outside X.  Refuses ground sets above 14 elements.
+    distinct a, b outside X.  Refuses ground sets above 20 elements.
     Counterexamples are violating pairs: (X, X) for R1, (X, X+a) for R2 and
     (X+a, X+b) for R3, at the first element (pair) that has one.
     """
@@ -176,6 +190,8 @@ def check_axioms(m: Matroid) -> AxiomReport:
         raise SizeRefusal(
             f"axiom check walks 2^{t} subsets per element pair; limit is ground size {_AXIOM_LIMIT}"
         )
+    import numpy as np
+
     # subs is ascending, so bit i of an index into it is the i-th ground element
     subs = _ground_submasks(m)
     rk = rank_vector(m, subs)
@@ -234,6 +250,8 @@ def flats(m: Matroid) -> list[int]:
         raise SizeRefusal(
             f"flat enumeration walks 2^{t} subsets; limit is ground size {_FLATS_LIMIT}"
         )
+    import numpy as np
+
     subs = _ground_submasks(m)
     rk = rank_vector(m, subs)
     table = np.full(1 << m.width, -1, dtype=np.int64)
@@ -248,27 +266,6 @@ def flats(m: Matroid) -> list[int]:
     return out
 
 
-def flats_of_minor_check(m: Matroid, f: int, x: int) -> bool:
-    """Check both minor-flat identities against direct closure scans.
-
-    Contraction by the flat f: flats of M/f must be exactly the sets A in
-    E-f with A|f a flat of M.  Deletion of x: flats of M\\x must be exactly
-    {F - x : F a flat of M}.
-    """
-    m._check_subset(f | x)
-    if not is_flat(m, f):
-        raise ParameterError("contraction set must be a flat of the matroid")
-    direct_c = set(flats(contract(m, f)))
-    via_m = {
-        int(a) for a in submasks(m.ground & ~f) if is_flat(m, a | f)
-    }
-    if direct_c != via_m:
-        return False
-    direct_d = set(flats(delete(m, x)))
-    via_m2 = {fl & ~x for fl in flats(m)}
-    return direct_d == via_m2
-
-
 def is_uniform(m: Matroid):
     """Return (ground_size, k) if m is the uniform matroid of its rank, else None.
 
@@ -279,24 +276,10 @@ def is_uniform(m: Matroid):
     k = m.full_rank()
     if k == 0:
         return (t, 0)
+    import numpy as np
+
     subsets = masks_of_size(m.ground, k)
     while batch := list(islice(subsets, _RANK_BATCH)):
         if (m.rank_array(np.array(batch, dtype=np.int64)) != k).any():
             return None
     return (t, k)
-
-
-def is_uniform_by_definition(m: Matroid):
-    """Definition-level check: rank(X) = min(|X|, rank(E)) for every subset.
-
-    Independent cross-check for is_uniform; walks all 2^t subsets.
-    """
-    t = m.ground_size
-    if t > _FLATS_LIMIT:
-        raise SizeRefusal(f"definition-level uniformity check limited to {_FLATS_LIMIT}")
-    k = m.full_rank()
-    subs = _ground_submasks(m)
-    rk = rank_vector(m, subs)
-    if (rk == np.minimum(popcount_array(subs), k)).all():
-        return (t, k)
-    return None

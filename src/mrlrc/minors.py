@@ -301,30 +301,3 @@ def oracle_max_uniform_all(m: Matroid) -> dict[int, int]:
     k0 = m.full_rank()
     return {kp: oracle_max_uniform(m, kp)[0] for kp in range(2, k0 + 1)}
 
-
-def unrestricted_max_uniform(m: Matroid, k_prime: int) -> int:
-    """Like the oracle but contracting arbitrary sets, not just flats.
-
-    Used to confirm that restricting the search to flats loses nothing.
-    """
-    t = m.ground_size
-    if t > 10:
-        raise SizeRefusal("unrestricted search limited to ground size 10")
-    k0 = m.full_rank()
-    if not 2 <= k_prime <= k0:
-        raise ParameterError(f"rank target must satisfy 2 <= k' <= rank(E)={k0}")
-    best = 0
-    from .subsets import submasks
-
-    for c in submasks(m.ground):
-        if m.rank(c) != k0 - k_prime:
-            continue
-        ground = m.ground & ~c
-        if popcount(ground) <= best or popcount(ground) < k_prime:
-            continue
-        view = contract(m, c)
-        keep = _max_circuit_free(ground, _small_circuits(view, k_prime))
-        size = popcount(keep)
-        if size >= k_prime:
-            best = max(best, size)
-    return best

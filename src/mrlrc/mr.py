@@ -9,8 +9,7 @@ truncation at k of the direct sum of the per-repair-set uniform ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
 from .matroid import Matroid
@@ -22,6 +21,9 @@ from .subsets import (
     popcount,
     popcount_array,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MR_FLATS_LIMIT = 24
 _MR_FLATS_CHUNK = 1 << 20  # masks per vectorised step of mr_flats
@@ -122,17 +124,13 @@ class MrMatroid(Matroid):
         return min(self.params.k, popcount(x) - full)
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         full = np.zeros(len(masks), dtype=np.int64)
         for b in self.params.repair_sets:
             bb = np.int64(b)
             full += (masks & bb) == bb
         return np.minimum(self.params.k, popcount_array(masks) - full)
-
-    def rank_direct_sum(self, x: int) -> int:
-        """Alternate form: truncation at k of per-repair-set uniform ranks."""
-        self._check_subset(x)
-        total = sum(min(popcount(x & b), self.params.r) for b in self.params.repair_sets)
-        return min(self.params.k, total)
 
 
 def make_mr(n: int, k: int, r: int, partition=None) -> MrMatroid:
@@ -149,6 +147,8 @@ def mr_flats(m: MrMatroid) -> list[int]:
     p = m.params
     if p.n > _MR_FLATS_LIMIT:
         raise SizeRefusal(f"mr_flats enumerates 2^{p.n} subsets; limit is n <= {_MR_FLATS_LIMIT}")
+    import numpy as np
+
     out = []
     total = 1 << p.n
     for lo in range(0, total, _MR_FLATS_CHUNK):

@@ -7,8 +7,10 @@ algebra is the usual &, |, ^, ~ restricted to the ground mask.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_GROUND = 64
 
@@ -91,19 +93,21 @@ def parse_indices(text: str) -> int:
     return mask_of(indices)
 
 
-# SWAR popcount for uint64 numpy arrays (no np.bitwise_count dependency).
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-
-
 def popcount_array(a: np.ndarray) -> np.ndarray:
-    """Popcount of each entry; returns int64 array."""
+    """Popcount of each entry; returns int64 array.
+
+    SWAR popcount on uint64, so it needs no np.bitwise_count (numpy >= 2).
+    """
+    import numpy as np
+
+    m1 = np.uint64(0x5555555555555555)
+    m2 = np.uint64(0x3333333333333333)
+    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+    h01 = np.uint64(0x0101010101010101)
     x = a.astype(np.uint64)
-    x = x - ((x >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
+    x = x - ((x >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x = (x + (x >> np.uint64(4))) & m4
     with np.errstate(over="ignore"):
-        x = (x * _H01) >> np.uint64(56)
+        x = (x * h01) >> np.uint64(56)
     return x.astype(np.int64)

@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mrlrc
 from mrlrc.cli import main
 from mrlrc.minors import MinorWitness
 
@@ -91,6 +98,21 @@ def test_sweep_command(capsys, tmp_path):
     assert any(ln.startswith("40,10,23,30,34,") for ln in lines)
 
 
+def test_sweep_rejects_locality_below_one(capsys):
+    # n % (r + 1) used to divide by zero at r = -1 and exit 1 with a traceback
+    code, out, err = run(capsys, "sweep", "3", "-1", "1", "10")
+    assert code == 3
+    assert "locality must be at least 1" in err
+    assert out == ""
+
+
+def test_sweep_refuses_large_n_max(capsys):
+    code, out, err = run(capsys, "sweep", "7", "3", "8", "200000")
+    assert code == 4
+    assert "size refusal" in err and "n_max" in err
+    assert out == ""
+
+
 def test_invalid_params_exit_code(capsys):
     code, _, err = run(capsys, "bounds", "10,4,2")
     assert code == 3
@@ -103,7 +125,7 @@ def test_malformed_params_exit_code(capsys):
 
 
 def test_size_refusal_exit_code(capsys):
-    code, _, err = run(capsys, "axioms", "20,10,3")
+    code, _, err = run(capsys, "axioms", "24,12,3")
     assert code == 4
     assert "size refusal" in err
 
@@ -143,3 +165,41 @@ def test_code_shorten_puncture_pipeline(capsys, tmp_path):
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "code", "check", str(tmp_path / "nope.txt"))
     assert code == 2
+
+
+_NUMPY_PROBE = """
+import json, sys
+import mrlrc, mrlrc.cli
+from mrlrc.cli import main
+
+d = sys.argv[1]
+runs = [
+    ["bounds", "12,7,3"],
+    ["sweep", "7", "3", "8", "60", "--out", d + "/sweep.csv"],
+    ["code", "search", "8,4,3", "--field", "13", "--seed", "7", "--trials", "200", "--out", d + "/c.txt"],
+    ["code", "check", d + "/c.txt", "--mr", "8,4,3"],
+    ["code", "shorten", d + "/c.txt", "--cols", "0", "--out", d + "/s.txt"],
+    ["code", "puncture", d + "/s.txt", "--cols", "0,3", "--out", d + "/p.txt"],
+    ["code", "check", d + "/p.txt"],
+]
+codes = [main(argv) for argv in runs]
+before = "numpy" in sys.modules
+axioms = main(["axioms", "8,4,3"])
+print(json.dumps({"codes": codes, "numpy_before": before, "axioms": axioms,
+                  "numpy_after": "numpy" in sys.modules}))
+"""
+
+
+def test_formula_and_code_commands_never_import_numpy(tmp_path):
+    # numpy is loaded on the first batch rank scan, never by import mrlrc
+    src = str(Path(mrlrc.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["codes"] == [0] * 7
+    assert got["numpy_before"] is False
+    assert got["axioms"] == 0
+    assert got["numpy_after"] is True

@@ -12,9 +12,8 @@ from mrlrc.matroid import (
     contract,
     delete,
     flats,
-    flats_of_minor_check,
+    is_flat,
     is_uniform,
-    is_uniform_by_definition,
     minor,
     rank_vector,
     restrict,
@@ -123,7 +122,11 @@ def test_axioms_pass_mr():
 
 def test_axioms_size_refusal():
     with pytest.raises(SizeRefusal):
-        check_axioms(make_mr(16, 9, 3))
+        check_axioms(make_mr(24, 12, 3))
+
+
+def test_axioms_above_fourteen_elements():
+    assert check_axioms(make_mr(18, 10, 5)).passed
 
 
 def test_closure_of_ground_is_ground():
@@ -229,19 +232,37 @@ def test_restrict_matches_delete():
     assert all(a.rank(s) == b.rank(s) for s in submasks(y))
 
 
+def _flats_of_minor_check(m, f, x):
+    """Check both minor-flat identities against direct closure scans.
+
+    Contraction by the flat f: flats of M/f must be exactly the sets A in
+    E-f with A|f a flat of M.  Deletion of x: flats of M\\x must be exactly
+    {F - x : F a flat of M}.
+    """
+    if not is_flat(m, f):
+        raise ParameterError("contraction set must be a flat of the matroid")
+    direct_c = set(flats(contract(m, f)))
+    via_m = {a for a in submasks(m.ground & ~f) if is_flat(m, a | f)}
+    if direct_c != via_m:
+        return False
+    direct_d = set(flats(delete(m, x)))
+    via_m2 = {fl & ~x for fl in flats(m)}
+    return direct_d == via_m2
+
+
 def test_flats_of_minor_identity_cases():
     m = make_mr(8, 4, 3)
-    assert flats_of_minor_check(m, 0, 0)
+    assert _flats_of_minor_check(m, 0, 0)
     f = mask_of([0, 4])  # rank-2 transversal flat
-    assert flats_of_minor_check(m, f, 0)
+    assert _flats_of_minor_check(m, f, 0)
     u = uniform_matroid(4, 2)
-    assert flats_of_minor_check(u, 0b1, 0b10)
+    assert _flats_of_minor_check(u, 0b1, 0b10)
 
 
 def test_flats_of_minor_requires_flat():
     m = make_mr(8, 4, 3)
     with pytest.raises(ParameterError):
-        flats_of_minor_check(m, 0b0111, 0)  # closure adds the 4th element
+        _flats_of_minor_check(m, 0b0111, 0)  # closure adds the 4th element
 
 
 def test_flats_of_minor_all_small_mr():
@@ -250,7 +271,7 @@ def test_flats_of_minor_all_small_mr():
         for f in flats(m):
             if popcount(f) > 3:
                 continue
-            assert flats_of_minor_check(m, f, 0)
+            assert _flats_of_minor_check(m, f, 0)
 
 
 def test_is_uniform_table():
@@ -267,6 +288,16 @@ def test_is_uniform_minor_after_transversal_deletion():
     assert is_uniform(view) == (6, 4)
 
 
+def _is_uniform_by_definition(m):
+    """Definition-level check: rank(X) = min(|X|, rank(E)) for every subset."""
+    k = m.full_rank()
+    subs = np.array(submasks(m.ground), dtype=np.int64)
+    rk = rank_vector(m, subs)
+    if (rk == np.minimum(popcount_array(subs), k)).all():
+        return (m.ground_size, k)
+    return None
+
+
 def test_is_uniform_matches_definition():
     cases = [
         uniform_matroid(6, 3),
@@ -276,7 +307,7 @@ def test_is_uniform_matches_definition():
         contract(make_mr(12, 7, 3), mask_of([0, 4])),
     ]
     for m in cases:
-        assert is_uniform(m) == is_uniform_by_definition(m)
+        assert is_uniform(m) == _is_uniform_by_definition(m)
 
 
 def test_flats_refusal():

@@ -1,17 +1,18 @@
 import pytest
 
 from mrlrc.errors import ParameterError, SizeRefusal
-from mrlrc.matroid import is_uniform, minor
+from mrlrc.matroid import contract, is_uniform, minor
 from mrlrc.minors import (
     MinorWitness,
     oracle_max_uniform,
     oracle_max_uniform_all,
-    unrestricted_max_uniform,
     verify_witness,
     witness_eq1,
     witness_eq2,
     witness_eq3,
     witness_eq4,
+    _max_circuit_free,
+    _small_circuits,
 )
 from mrlrc.mr import make_mr, valid_param_triples
 from mrlrc.bounds import (
@@ -23,7 +24,7 @@ from mrlrc.bounds import (
     eq4_size,
     largest_uniform_size,
 )
-from mrlrc.subsets import popcount
+from mrlrc.subsets import popcount, submasks
 
 
 def test_witness_line_roundtrip():
@@ -181,13 +182,31 @@ def test_oracle_is_genuine_maximum():
     assert is_uniform(view) == (size, 3)
 
 
+def _unrestricted_max_uniform(m, k_prime):
+    """Like the oracle but contracting arbitrary sets, not just flats."""
+    k0 = m.full_rank()
+    best = 0
+    for c in submasks(m.ground):
+        if m.rank(c) != k0 - k_prime:
+            continue
+        ground = m.ground & ~c
+        if popcount(ground) <= best or popcount(ground) < k_prime:
+            continue
+        view = contract(m, c)
+        keep = _max_circuit_free(ground, _small_circuits(view, k_prime))
+        size = popcount(keep)
+        if size >= k_prime:
+            best = max(best, size)
+    return best
+
+
 def test_flat_restriction_loses_nothing():
     # contracting arbitrary sets instead of flats finds nothing bigger
     for n, k, r in valid_param_triples(8):
         m = make_mr(n, k, r)
         for kp in range(2, k + 1):
             restricted, _ = oracle_max_uniform(m, kp)
-            assert restricted == unrestricted_max_uniform(m, kp), (n, k, r, kp)
+            assert restricted == _unrestricted_max_uniform(m, kp), (n, k, r, kp)
 
 
 def test_oracle_refusals_and_validation():
