@@ -300,7 +300,11 @@ class SweepRow:
 
 
 def sweep(k: int, r: int, n_min: int, n_max: int) -> list[SweepRow]:
-    """One row per valid n in [n_min, n_max] for fixed k and r."""
+    """One row per valid n in [n_min, n_max] for fixed k and r.
+
+    A range with no valid n (k <= r, or n_min > n_max) is a ParameterError,
+    so a sweep that returns always has rows.
+    """
     if r < 1:
         raise ParameterError(f"locality must be at least 1, got r={r}")
     if n_max > _SWEEP_N_LIMIT:
@@ -332,4 +336,6 @@ def sweep(k: int, r: int, n_min: int, n_max: int) -> list[SweepRow]:
                 q_gopalan=rep.q_gopalan,
             )
         )
+    if not rows:
+        raise ParameterError(f"no n in [{n_min}, {n_max}] gives a valid (n, {k}, {r}) triple")
     return rows

@@ -4,6 +4,13 @@ Columns of a generator matrix index the ground set; the rank of a subset
 is the rank of the corresponding column submatrix.  Deletion and
 contraction of the matroid correspond to puncturing and shortening of the
 code, which are implemented directly on the matrix.
+
+Maximal recoverability is certified on two independent paths.
+`search_mr_code` certifies each trial's parity-check matrix on the parity
+side, by ranks of h x h heavy-row differences (the view of Gopalan, Huang,
+Jenkins and Yekhanin), and builds the generator matrix only for the trial
+that passes.  `is_mr_lrc`, behind `code check --mr`, scans the generator
+matrix's k-column sets (the primal side).
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from .mr import MrParams
 from .subsets import bits_of, full_mask, mask_of, popcount
 
 _CODE_LIMIT = 24
+# A refusal counts the certificate's checks only when that takes at most this many steps.
+_COUNT_STEPS = 10**5
 
 
 @dataclass(frozen=True)
@@ -170,32 +179,90 @@ def shorten_then_puncture(gm: GenMatrix, contract_mask: int, delete_mask: int) -
     return puncture(shortened, remapped)
 
 
+def _difference_sets(groups, r: int, budget: int):
+    """Yield each choice of subsets S_i (|S_i| >= 2) of distinct groups with
+    sum(|S_i| - 1) = budget, as its (min S_i, c) pairs for c in S_i - min S_i."""
+    if budget == 0:
+        yield []
+        return
+    if len(groups) * r < budget:
+        return
+    first, rest = groups[0], groups[1:]
+    yield from _difference_sets(rest, r, budget)
+    for size in range(2, min(budget, r) + 2):
+        for s in combinations(first, size):
+            pairs = [(s[0], c) for c in s[1:]]
+            for tail in _difference_sets(rest, r, budget - size + 1):
+                yield pairs + tail
+
+
+def _certificate_checks(p: MrParams) -> int | None:
+    """How many h x h difference matrices the parity-side certificate ranks,
+    or None when counting them would take over _COUNT_STEPS steps."""
+    if p.g * p.h * p.r > _COUNT_STEPS:
+        return None
+    per_group = [1] + [comb(p.r + 1, e + 1) for e in range(1, p.r + 1)]
+    counts = [1] + [0] * p.h
+    for _ in p.repair_sets:
+        counts = [
+            sum(per_group[e] * counts[d - e] for e in range(min(d, p.r) + 1))
+            for d in range(p.h + 1)
+        ]
+    return counts[p.h]
+
+
+def _heavy_rows_are_mr(f: Field, p: MrParams, heavy) -> bool:
+    """Parity-side MR certificate of H = (one all-ones row per repair set; heavy).
+
+    A k-set containing no whole repair set is an information set of ker H
+    iff H_E is invertible, E its complement, which meets every group.
+    Subtracting the column min(E & group) from the rest of each group and
+    expanding along the local rows leaves the h heavy-row differences
+    v_c - v_min, so ker H is an MR code of dimension k iff every
+    `_difference_sets` choice has rank h.  A rank-deficient H fails them all.
+    """
+    cols = [[row[j] for row in heavy] for j in range(p.n)]
+    groups = tuple(bits_of(b) for b in p.repair_sets)
+    diff = {
+        (a, c): [f.sub(x, y) for x, y in zip(cols[c], cols[a])]
+        for g in groups
+        for a, c in combinations(g, 2)
+    }
+    return all(
+        mat_rank(f, [diff[e] for e in pairs]) == p.h
+        for pairs in _difference_sets(groups, p.r, p.h)
+    )
+
+
 def search_mr_code(
     p: MrParams, field: FieldSpec, trials: int, seed: int
 ) -> GenMatrix | None:
     """Seeded random search for a certified MR generator matrix.
 
     Each trial builds a parity-check matrix with one all-ones local parity
-    per repair set plus h uniformly random heavy rows, takes its
-    nullspace, and certifies.  Trials use derived seeds "seed:index", so
-    the result is deterministic and independent of scheduling.
+    per repair set plus h uniformly random heavy rows and certifies it on
+    the parity side (`_heavy_rows_are_mr`); the first trial that passes
+    returns its nullspace as the generator matrix.  `is_mr_lrc`, the
+    primal scan behind `code check --mr`, is an independent path to the
+    same verdict.  Trials use derived seeds "seed:index", so the result is
+    deterministic and independent of scheduling.
     """
+    if trials < 1:
+        raise ParameterError(f"search needs at least one trial, got trials={trials}")
+    if p.n > _CODE_LIMIT:
+        checks = _certificate_checks(p)
+        raise SizeRefusal(
+            f"MR search would rank {'uncounted' if checks is None else checks} "
+            f"{p.h}x{p.h} difference matrices per trial; limit is n <= {_CODE_LIMIT}"
+        )
     f = Field(field)
-    local_rows = []
-    for b in p.repair_sets:
-        row = [0] * p.n
-        for j in bits_of(b):
-            row[j] = 1
-        local_rows.append(row)
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
         heavy = [[rng.randrange(field.q) for _ in range(p.n)] for _ in range(p.h)]
-        basis = nullspace(f, local_rows + heavy)
-        if len(basis) != p.k:
-            continue
-        gm = GenMatrix(field, p.n, tuple(tuple(v) for v in basis))
-        if is_mr_lrc(gm, p):
-            return gm
+        if _heavy_rows_are_mr(f, p, heavy):
+            local = [[b >> j & 1 for j in range(p.n)] for b in p.repair_sets]
+            basis = nullspace(f, local + heavy)
+            return GenMatrix(field, p.n, tuple(tuple(v) for v in basis))
     return None
 
 

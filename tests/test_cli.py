@@ -113,6 +113,15 @@ def test_sweep_refuses_large_n_max(capsys):
     assert out == ""
 
 
+def test_sweep_without_rows_is_a_parameter_error(capsys):
+    # k <= r and an inverted range used to exit 1, the "answered false" code
+    for argv in (("2", "3", "8", "60"), ("7", "3", "60", "8")):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 3
+        assert "invalid parameters" in err
+        assert out == ""
+
+
 def test_invalid_params_exit_code(capsys):
     code, _, err = run(capsys, "bounds", "10,4,2")
     assert code == 3
@@ -144,6 +153,18 @@ def test_code_search_check_pipeline(capsys, tmp_path):
     code, out, _ = run(capsys, "code", "check", str(mat))
     assert code == 5
     assert "MDS: false" in out
+
+
+def test_code_search_validation_exit_codes(capsys):
+    code, out, err = run(capsys, "code", "search", "30,15,4", "--field", "13", "--seed", "1")
+    assert code == 4
+    assert "51329100 9x9 difference matrices per trial" in err
+    assert out == ""
+    # a negative trial budget used to print "no MR code found in -1 trials" and exit 5
+    code, out, err = run(capsys, "code", "search", "8,4,3", "--field", "13", "--seed", "1", "--trials", "-1")
+    assert code == 3
+    assert "at least one trial" in err
+    assert out == ""
 
 
 def test_code_shorten_puncture_pipeline(capsys, tmp_path):

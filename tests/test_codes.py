@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from mrlrc.codes import (
     GenMatrix,
+    _heavy_rows_are_mr,
     code_to_matroid,
     is_mds_code,
     is_mr_lrc,
@@ -15,10 +18,10 @@ from mrlrc.codes import (
     write_matrix,
 )
 from mrlrc.errors import ParameterError, SizeRefusal
-from mrlrc.gf import Field, FieldSpec
+from mrlrc.gf import Field, FieldSpec, nullspace, parse_field
 from mrlrc.matroid import contract, delete, rank_vector
 from mrlrc.minors import witness_eq1, witness_eq2, witness_eq3
-from mrlrc.mr import make_mr, make_params
+from mrlrc.mr import make_mr, make_params, parse_params
 from mrlrc.subsets import bits_of, mask_of, submasks
 
 
@@ -97,6 +100,79 @@ def test_search_pinned_output():
         "3 3 7 0 12 0 1 0\n"
         "6 11 9 0 12 0 0 1\n"
     )
+
+
+def test_search_pinned_output_three_groups():
+    # h = 2 heavy rows over three repair sets; trial 0 is rejected.  Recorded
+    # when the search still certified through is_mr_lrc.
+    gm = search_mr_code(make_params(12, 7, 3), FieldSpec(257), trials=5, seed=7)
+    assert write_matrix(gm) == (
+        "field 257\n"
+        "7 12\n"
+        "218 68 227 1 0 0 0 0 0 0 0 0\n"
+        "30 1 226 0 256 1 0 0 0 0 0 0\n"
+        "120 99 38 0 256 0 1 0 0 0 0 0\n"
+        "183 7 67 0 256 0 0 1 0 0 0 0\n"
+        "7 13 237 0 0 0 0 0 256 1 0 0\n"
+        "191 122 201 0 0 0 0 0 256 0 1 0\n"
+        "181 239 94 0 0 0 0 0 256 0 0 1\n"
+    )
+    assert search_mr_code(make_params(12, 7, 3), FieldSpec(257), trials=1, seed=7) is None
+
+
+def _parity_kernel(p, spec, heavy):
+    """ker H for H = (one all-ones row per repair set; heavy), or None if H is rank-deficient."""
+    local = [[b >> j & 1 for j in range(p.n)] for b in p.repair_sets]
+    basis = nullspace(Field(spec), local + heavy)
+    return GenMatrix(spec, p.n, tuple(map(tuple, basis))) if len(basis) == p.k else None
+
+
+def test_certificate_matches_primal_scan():
+    # h = 0 (vacuous), r = 1, a non-contiguous partition, prime and extension fields
+    cases = (
+        ("12,9,3", "5", 4),
+        ("10,4,1", "5", 10),
+        ("6,2,1", "3", 30),
+        ("8,4,3", "13", 120),
+        ("8,4,3:0,2,5,7;1,3,4,6", "13", 120),
+        ("8,4,3", "2^8:285", 10),
+        ("12,7,3", "2^8:285", 4),
+    )
+    seen = {}
+    for params, field, trials in cases:
+        p, spec = parse_params(params), parse_field(field)
+        for t in range(trials):
+            rng = random.Random(f"v:{t}")
+            heavy = [[rng.randrange(spec.q) for _ in range(p.n)] for _ in range(p.h)]
+            gm = _parity_kernel(p, spec, heavy)
+            cert = _heavy_rows_are_mr(Field(spec), p, heavy)
+            assert cert == (gm is not None and is_mr_lrc(gm, p)), (params, field, t)
+            seen.setdefault(field, set()).add(cert)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_certificate_rejects_equal_heavy_columns():
+    # columns 0 and 1 share a repair set and their heavy entries: erasing both
+    # plus the rest of another group leaves a zero difference column
+    p, spec = make_params(8, 4, 3), FieldSpec(13)
+    heavy = [[3, 3, 1, 4, 1, 5, 9, 2], [6, 6, 5, 3, 5, 8, 9, 7]]
+    gm = _parity_kernel(p, spec, heavy)
+    assert gm is not None
+    assert not is_mr_lrc(gm, p)
+    assert not _heavy_rows_are_mr(Field(spec), p, heavy)
+
+
+def test_search_validates_up_front():
+    p = make_params(8, 4, 3)
+    for trials in (0, -1):
+        with pytest.raises(ParameterError, match="at least one trial"):
+            search_mr_code(p, FieldSpec(13), trials=trials, seed=1)
+    # refused before any trial, with the certificate's per-trial work
+    with pytest.raises(SizeRefusal, match=r"51329100 9x9 difference matrices per trial; limit is n <= 24"):
+        search_mr_code(make_params(30, 15, 4), FieldSpec(13), trials=1, seed=1)
+    # counting the checks would itself take g*h*r = 5*10^7 steps here, so they go uncounted
+    with pytest.raises(SizeRefusal, match=r"uncounted 5000x5000 difference matrices"):
+        search_mr_code(make_params(20000, 5000, 1), FieldSpec(13), trials=1, seed=1)
 
 
 def test_search_is_deterministic():
