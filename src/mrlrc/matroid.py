@@ -270,7 +270,10 @@ def is_uniform(m: Matroid):
     """Return (ground_size, k) if m is the uniform matroid of its rank, else None.
 
     Uses the standard reduction: m is uniform iff every subset of size
-    rank(E) has full rank.
+    rank(E) has full rank.  The k-subset masks stream from masks_of_size
+    into numpy batches of _RANK_BATCH masks, one rank_array call each, so
+    memory is bounded by one batch and the scan stops at the first batch
+    with a rank-deficient subset.
     """
     t = m.ground_size
     k = m.full_rank()
@@ -279,7 +282,7 @@ def is_uniform(m: Matroid):
     import numpy as np
 
     subsets = masks_of_size(m.ground, k)
-    while batch := list(islice(subsets, _RANK_BATCH)):
-        if (m.rank_array(np.array(batch, dtype=np.int64)) != k).any():
+    while (batch := np.fromiter(islice(subsets, _RANK_BATCH), dtype=np.int64)).size:
+        if (m.rank_array(batch) != k).any():
             return None
     return (t, k)

@@ -11,7 +11,6 @@ rank oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 from .bounds import eq3_size
 from .errors import ParameterError, SizeRefusal
@@ -24,7 +23,14 @@ from .matroid import (
     minor,
 )
 from .mr import MrMatroid, mr_flats
-from .subsets import bits_of, format_indices, lowest_bits, parse_indices, popcount
+from .subsets import (
+    bits_of,
+    format_indices,
+    lowest_bits,
+    masks_of_size,
+    parse_indices,
+    popcount,
+)
 
 _ORACLE_LIMIT = 15
 
@@ -228,12 +234,8 @@ def _rank_flats(m: Matroid, target_rank: int) -> list[int]:
 def _small_circuits(view: Matroid, k_prime: int) -> list[int]:
     """Minimal dependent sets of size <= k' in the view."""
     circuits: list[int] = []
-    els = bits_of(view.ground)
     for size in range(1, k_prime + 1):
-        for comb in combinations(els, size):
-            mask = 0
-            for e in comb:
-                mask |= 1 << e
+        for mask in masks_of_size(view.ground, size):
             if any(c & mask == c for c in circuits):
                 continue
             if view.rank(mask) < size:
@@ -273,7 +275,9 @@ def oracle_max_uniform(m: Matroid, k_prime: int) -> tuple[int, MinorWitness | No
     """
     t = m.ground_size
     if t > _ORACLE_LIMIT:
-        raise SizeRefusal(f"oracle search limited to ground size {_ORACLE_LIMIT}, got {t}")
+        raise SizeRefusal(
+            f"oracle search scans the flats among 2^{t} subsets; limit is ground size {_ORACLE_LIMIT}"
+        )
     k0 = m.full_rank()
     if not 2 <= k_prime <= k0:
         raise ParameterError(f"oracle rank target must satisfy 2 <= k' <= rank(E)={k0}")

@@ -10,6 +10,8 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 MAX_GROUND = 64
@@ -68,14 +70,13 @@ def submasks(mask: int) -> list[int]:
     return subs
 
 
-def masks_of_size(mask: int, t: int):
-    """Yield all size-t submasks of mask (order: combinations of ascending bits)."""
-    els = bits_of(mask)
-    for comb in combinations(els, t):
-        m = 0
-        for i in comb:
-            m |= 1 << i
-        yield m
+def masks_of_size(mask: int, t: int) -> Iterator[int]:
+    """Iterator over all size-t submasks of mask, in combinations-of-ascending-bits order.
+
+    The iterator is built in C (itertools.combinations of the member bits,
+    each tuple summed by map), so no Python code runs per mask.
+    """
+    return map(sum, combinations([1 << e for e in bits_of(mask)], t))
 
 
 def format_indices(mask: int) -> str:

@@ -139,6 +139,18 @@ def test_size_refusal_exit_code(capsys):
     assert "size refusal" in err
 
 
+def test_oracle_refusal_states_its_work(capsys):
+    code, out, err = run(capsys, "oracle", "16,9,3")
+    assert code == 4
+    assert "oracle search scans the flats among 2^16 subsets; limit is ground size 15" in err
+    assert out == ""
+    # the eq3 construction gap falls back to the oracle, which refuses above 15 elements
+    code, out, err = run(capsys, "witness", "16,9,7", "--eq", "3", "--kprime", "6")
+    assert code == 4
+    assert "2^16 subsets" in err
+    assert out == ""
+
+
 def test_code_search_check_pipeline(capsys, tmp_path):
     mat = tmp_path / "code.txt"
     code, _, _ = run(

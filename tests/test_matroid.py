@@ -1,8 +1,11 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from mrlrc import matroid
 from mrlrc.errors import ParameterError, SizeRefusal
 from mrlrc.matroid import (
     MinorView,
@@ -19,8 +22,9 @@ from mrlrc.matroid import (
     restrict,
     uniform_matroid,
 )
-from mrlrc.mr import make_mr
-from mrlrc.subsets import full_mask, mask_of, popcount, popcount_array, submasks
+from mrlrc.minors import witness_eq1
+from mrlrc.mr import make_mr, valid_param_triples
+from mrlrc.subsets import bits_of, full_mask, mask_of, popcount, popcount_array, submasks
 
 
 def test_axioms_pass_uniform():
@@ -308,6 +312,76 @@ def test_is_uniform_matches_definition():
     ]
     for m in cases:
         assert is_uniform(m) == _is_uniform_by_definition(m)
+
+
+def _first_deficient_subset(m):
+    """Index of the first rank-deficient k-subset in combination order, or None."""
+    k = m.full_rank()
+    for i, comb in enumerate(combinations(bits_of(m.ground), k)):
+        if m.rank(mask_of(comb)) < k:
+            return i
+    return None
+
+
+def _late_failure_minors():
+    """MR minors that lose one element of every repair set but the last.
+
+    Only k-subsets holding the whole last set are dependent, and they come
+    late in combination order.
+    """
+    for n, k, r in valid_param_triples(12):
+        m = make_mr(n, k, r)
+        yield delete(m, mask_of(bits_of(b)[0] for b in m.params.repair_sets[:-1]))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+def test_is_uniform_across_rank_batches(monkeypatch, batch):
+    rng = random.Random(batch)
+    triples = valid_param_triples(12)
+    cases = []
+    for _ in range(120):
+        n, k, r = rng.choice(triples)
+        f = rng.getrandbits(n) & rng.getrandbits(n)
+        x = rng.getrandbits(n) & rng.getrandbits(n) & ~f
+        cases.append(minor(make_mr(n, k, r), f, x))
+    cases += _late_failure_minors()
+    expected = [_is_uniform_by_definition(m) for m in cases]
+    monkeypatch.setattr(matroid, "_RANK_BATCH", batch)
+    late = 0
+    for m, want in zip(cases, expected):
+        assert is_uniform(m) == want
+        if want is None and _first_deficient_subset(m) >= batch:
+            late += 1
+    # both verdicts, and failures that only a batch after the first can see
+    assert {w is None for w in expected} == {True, False}
+    assert late > 0
+
+
+def _eq1_minor_22_11_10():
+    m = make_mr(22, 11, 10)
+    w = witness_eq1(m)
+    return minor(m, w.contract_flat, w.delete_set)
+
+
+def test_is_uniform_eq1_minor_spans_three_batches():
+    view = _eq1_minor_22_11_10()
+    calls = []
+    rank_array = view.rank_array
+    view.rank_array = lambda masks: calls.append(len(masks)) or rank_array(masks)
+    assert is_uniform(view) == (20, 11)
+    # C(20, 11) = 167,960 masks: two full batches and a partial one
+    assert calls == [matroid._RANK_BATCH] * 2 + [167_960 - 2 * matroid._RANK_BATCH]
+
+
+def test_is_uniform_memory_is_one_batch():
+    view = _eq1_minor_22_11_10()
+    tracemalloc.start()
+    try:
+        assert is_uniform(view) == (20, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
 
 
 def test_flats_refusal():

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,30 @@ def test_masks_of_size():
     got = list(masks_of_size(0b1111, 2))
     assert len(got) == 6
     assert all(popcount(m) == 2 for m in got)
+
+
+def _masks_of_size_loop(mask, t):
+    """Reference: OR the bits of each combination of the ascending members."""
+    out = []
+    for comb in combinations(bits_of(mask), t):
+        m = 0
+        for i in comb:
+            m |= 1 << i
+        out.append(m)
+    return out
+
+
+def test_masks_of_size_matches_loop():
+    rng = random.Random(17)
+    # members anywhere in 0..63, so bits 40-63 appear; the 20-member mask
+    # alone walks 2^20 submasks through the reference loop
+    masks = [mask_of(rng.sample(range(64), size)) for size in [*range(15), 20]]
+    masks.append(full_mask(64) & ~full_mask(52))  # bits 52-63
+    for mask in masks:
+        for t in range(popcount(mask) + 2):
+            assert list(masks_of_size(mask, t)) == _masks_of_size_loop(mask, t), (mask, t)
+        assert list(masks_of_size(mask, 0)) == [0]
+        assert list(masks_of_size(mask, popcount(mask) + 1)) == []
 
 
 def test_popcount_array_matches_python():
