@@ -10,14 +10,15 @@ submasks of `ground` and refuse above their stated size limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
+from math import comb
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
 from .subsets import (
     bits_of,
     full_mask,
-    masks_of_size,
+    mask_batches,
     popcount,
     popcount_array,
     submasks,
@@ -29,6 +30,7 @@ if TYPE_CHECKING:
 _AXIOM_LIMIT = 20
 _FLATS_LIMIT = 24
 _RANK_BATCH = 1 << 16  # masks per rank_array call; bounds memory of big scans
+_UNIFORM_LIMIT = 1 << 26  # k-subsets is_uniform ranks before it refuses
 
 
 class Matroid:
@@ -270,19 +272,22 @@ def is_uniform(m: Matroid):
     """Return (ground_size, k) if m is the uniform matroid of its rank, else None.
 
     Uses the standard reduction: m is uniform iff every subset of size
-    rank(E) has full rank.  The k-subset masks stream from masks_of_size
-    into numpy batches of _RANK_BATCH masks, one rank_array call each, so
-    memory is bounded by one batch and the scan stops at the first batch
-    with a rank-deficient subset.
+    k = rank(E) has full rank.  The k-subset masks come from mask_batches
+    as numpy batches of _RANK_BATCH masks, built by ORs of half-tables, one
+    rank_array call each, so memory is bounded by about one batch and the
+    scan stops at the first batch with a rank-deficient subset.  Refuses
+    above _UNIFORM_LIMIT = 2^26 k-subsets.
     """
     t = m.ground_size
     k = m.full_rank()
     if k == 0:
         return (t, 0)
-    import numpy as np
-
-    subsets = masks_of_size(m.ground, k)
-    while (batch := np.fromiter(islice(subsets, _RANK_BATCH), dtype=np.int64)).size:
+    work = comb(t, k)
+    if work > _UNIFORM_LIMIT:
+        raise SizeRefusal(
+            f"uniformity check would rank C({t},{k}) = {work} subsets; limit is {_UNIFORM_LIMIT}"
+        )
+    for batch in mask_batches(m.ground, k, _RANK_BATCH):
         if (m.rank_array(batch) != k).any():
             return None
     return (t, k)

@@ -139,6 +139,14 @@ def test_size_refusal_exit_code(capsys):
     assert "size refusal" in err
 
 
+def test_witness_refuses_unbounded_verification(capsys):
+    # the eq1 minor of (48,24,3) has C(36,24) k-subsets, past the uniformity budget
+    code, out, err = run(capsys, "witness", "48,24,3", "--eq", "1")
+    assert code == 4
+    assert "uniformity check would rank C(36,24) = 1251677700 subsets; limit is 67108864" in err
+    assert out == ""
+
+
 def test_oracle_refusal_states_its_work(capsys):
     code, out, err = run(capsys, "oracle", "16,9,3")
     assert code == 4

@@ -384,6 +384,20 @@ def test_is_uniform_memory_is_one_batch():
     assert peak < 4.5e6
 
 
+def test_is_uniform_refusal_states_its_work(monkeypatch):
+    # the eq1 minor of (48,24,3): one element deleted from each of the 12 repair sets
+    view = delete(make_mr(48, 24, 3), mask_of(range(0, 48, 4)))
+    with pytest.raises(SizeRefusal, match=r"would rank C\(36,24\) = 1251677700 subsets; limit is 67108864"):
+        is_uniform(view)
+    # the budget counts k-subsets: C(20, 11) = 167,960 is the first refused total
+    view = _eq1_minor_22_11_10()
+    monkeypatch.setattr(matroid, "_UNIFORM_LIMIT", 167_960)
+    assert is_uniform(view) == (20, 11)
+    monkeypatch.setattr(matroid, "_UNIFORM_LIMIT", 167_959)
+    with pytest.raises(SizeRefusal, match=r"C\(20,11\) = 167960"):
+        is_uniform(view)
+
+
 def test_flats_refusal():
     class Big(TableMatroid):
         pass
