@@ -47,6 +47,15 @@ def _load(params_text: str) -> MrMatroid:
     return MrMatroid(parse_params(params_text))
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path (--out), or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_axioms(args) -> int:
     m = _load(args.params)
     report = check_axioms(m)
@@ -119,12 +128,7 @@ def cmd_sweep(args) -> int:
     rows = sweep(args.k, args.r, args.n_min, args.n_max)
     lines = [f"# mrlrc sweep k={args.k} r={args.r} n={args.n_min}..{args.n_max}", SWEEP_HEADER]
     lines += [row.to_csv() for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -136,12 +140,7 @@ def cmd_code(args) -> int:
         if gm is None:
             print(f"no MR code found in {args.trials} trials", file=sys.stderr)
             return EXIT_CERT
-        text = write_matrix(gm)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(write_matrix(gm), args.out)
         return EXIT_OK
 
     with open(args.file) as fh:
@@ -159,12 +158,7 @@ def cmd_code(args) -> int:
 
     cols = parse_indices(args.cols)
     out_gm = puncture(gm, cols) if args.code_cmd == "puncture" else shorten(gm, cols)
-    text = write_matrix(out_gm)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_matrix(out_gm), args.out)
     return EXIT_OK
 
 

@@ -52,9 +52,6 @@ class GenMatrix:
     def k(self) -> int:
         return len(self.rows)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def submatrix_columns(self, cols) -> list[list[int]]:
         return [[row[j] for j in cols] for row in self.rows]
 

@@ -94,25 +94,9 @@ def _is_irreducible(mod: int, p: int, m: int) -> bool:
     for d in range(1, m // 2 + 1):
         lead = p**d
         for tail in range(p**d):
-            divisor = lead + tail
-            if _poly_divides(divisor, mod, p):
+            if _poly_mod(mod, lead + tail, p) == 0:
                 return False
     return True
-
-
-def _poly_divides(d: int, a: int, p: int) -> bool:
-    da = _digits(a, p)
-    dd = _digits(d, p)
-    deg_d = len(dd) - 1
-    inv_lead = pow(dd[-1], p - 2, p)
-    while len(da) - 1 >= deg_d and any(da):
-        shift = len(da) - 1 - deg_d
-        factor = (da[-1] * inv_lead) % p
-        for i, c in enumerate(dd):
-            da[shift + i] = (da[shift + i] - factor * c) % p
-        while da and da[-1] == 0:
-            da.pop()
-    return not any(da)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 A matroid is a rank oracle on subsets of a ground mask.  The ground set is
 not required to be {0..n-1}: minor views keep their parent's element
 labels, so `ground` is an arbitrary mask inside a mask space of `width`
-bits.  Enumerative operations (axiom checking, flats, uniformity) walk the
-submasks of `ground` and refuse above their stated size limits.
+bits.  Enumerative operations refuse above their stated size limits.
+Axiom checking and flats rank each of the 2^t subsets of the t-element
+ground once, in one table indexed by dense index (bit j of an index is the
+j-th ground member), so their memory is 2^t whatever the mask width;
+uniformity ranks the k-subsets in batches.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .subsets import (
     mask_batches,
     popcount,
     popcount_array,
-    submasks,
 )
 
 if TYPE_CHECKING:
@@ -158,12 +160,27 @@ def rank_vector(m: Matroid, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ground_submasks(m: Matroid) -> np.ndarray:
+def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(idx, subs, rk) over the 2^t subsets of the t-element ground, in dense index order.
+
+    idx = arange(2^t), and bit j of an index stands for the j-th ground
+    member: subs deposits those bits onto the members, one shift per run of
+    consecutive members, so subs ascends and memory is O(2^t) whatever the
+    mask width.  rk = rank_vector(m, subs).  A member at bit 63 does not
+    fit int64 (OverflowError).
+    """
     import numpy as np
 
-    if m.ground == full_mask(m.width):
-        return np.arange(1 << m.width, dtype=np.int64)
-    return np.array(submasks(m.ground), dtype=np.int64)
+    idx = np.arange(1 << m.ground_size, dtype=np.int64)
+    subs = np.zeros_like(idx)
+    j, rest = 0, m.ground
+    while rest:
+        lo = (rest & -rest).bit_length() - 1
+        run = ((rest >> lo) ^ ((rest >> lo) + 1)).bit_length() - 1
+        members = ((1 << run) - 1) << lo
+        subs |= (idx << (lo - j)) & np.int64(members)
+        j, rest = j + run, rest & ~members
+    return idx, subs, rank_vector(m, subs)
 
 
 @dataclass
@@ -194,10 +211,7 @@ def check_axioms(m: Matroid) -> AxiomReport:
         )
     import numpy as np
 
-    # subs is ascending, so bit i of an index into it is the i-th ground element
-    subs = _ground_submasks(m)
-    rk = rank_vector(m, subs)
-    idx = np.arange(len(subs))
+    idx, subs, rk = _rank_table(m)
 
     report = AxiomReport(True, True, True)
 
@@ -254,18 +268,15 @@ def flats(m: Matroid) -> list[int]:
         )
     import numpy as np
 
-    subs = _ground_submasks(m)
-    rk = rank_vector(m, subs)
-    table = np.full(1 << m.width, -1, dtype=np.int64)
-    table[subs] = rk
+    _, subs, rk = _rank_table(m)
     flat = np.ones(len(subs), dtype=bool)
-    for e in bits_of(m.ground):
-        bit = np.int64(1 << e)
-        has_e = (subs & bit) != 0
-        flat &= has_e | (table[subs | bit] > rk)
-    out = [int(s) for s in subs[flat]]
-    out.sort(key=lambda s: (popcount(s), s))
-    return out
+    for i in range(t):
+        # axis 1 of the view is bit i of the index: a set without the i-th
+        # member is a flat only if adding that member raises the rank
+        r = rk.reshape(-1, 2, 1 << i)
+        flat.reshape(-1, 2, 1 << i)[:, 0] &= r[:, 1] > r[:, 0]
+    out = subs[flat]  # ascending, so a stable sort by size keeps (size, mask) order
+    return out[np.argsort(popcount_array(out), kind="stable")].tolist()
 
 
 def is_uniform(m: Matroid):

@@ -2,10 +2,12 @@
 
 A witness is a (contract-flat F, delete-set X) pair together with the
 target rank k' and the size n' of the resulting minor.  Constructors build
-the witness for each of the four size formulas; the oracle searches all
-contract-flats of the right rank (sufficient by the Scum theorem) together
-with arbitrary deletions, sharing nothing with the constructors beyond the
-rank oracle.
+the witness for each of the four size formulas.  The oracle contracts each
+flat of the right rank (sufficient by the Scum theorem), taken from the
+generic closure scan `matroid.flats`, and then chooses arbitrary deletions.
+It shares nothing with the constructors beyond the rank oracle, and nothing
+with the closed-form `mr.mr_flats`, which stays the independent check of
+the scan.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .matroid import (
     Matroid,
     closure,
     contract,
-    flats as generic_flats,
+    flats,
     is_uniform,
     minor,
 )
-from .mr import MrMatroid, mr_flats
+from .mr import MrMatroid
 from .subsets import (
     bits_of,
     format_indices,
@@ -96,14 +98,20 @@ def _verified(m: Matroid, w: MinorWitness) -> MinorWitness:
     return w
 
 
-def witness_eq1(m: MrMatroid) -> MinorWitness:
-    """Delete one element per repair set: a U_{n-g}^{k} minor."""
+def _transversal_witness(m: MrMatroid, f: int, k_prime: int) -> MinorWitness:
+    """Contract f and delete the lowest member of each repair set f leaves unfilled."""
     p = m.params
     x = 0
     for b in p.repair_sets:
-        x |= b & -b
-    w = MinorWitness(0, x, p.k, p.n - p.g, formula_size=p.n - p.g)
-    return _verified(m, w)
+        rest = b & ~f
+        x |= rest & -rest
+    size = p.n - p.g - p.k + k_prime
+    return _verified(m, MinorWitness(f, x, k_prime, size, formula_size=size))
+
+
+def witness_eq1(m: MrMatroid) -> MinorWitness:
+    """Delete one element per repair set: a U_{n-g}^{k} minor (witness_eq4's build at k' = k)."""
+    return _transversal_witness(m, 0, m.params.k)
 
 
 def witness_eq2(m: MrMatroid) -> MinorWitness:
@@ -116,20 +124,15 @@ def witness_eq2(m: MrMatroid) -> MinorWitness:
     p = m.params
     n, k, r = p.n, p.k, p.r
     kr = k // r
-    if k % r == 0:
-        f = 0
-        for b in p.repair_sets[: kr - 1]:
-            f |= b
-        x = 0
-    else:
-        f = 0
-        for b in p.repair_sets[: kr - 1]:
-            f |= b
-        rho_f1 = (kr - 1) * r
+    f = x = 0
+    for b in p.repair_sets[: kr - 1]:
+        f |= b
+    if k % r:
         block = p.repair_sets[kr - 1]
-        bpart = lowest_bits(block, k - r - rho_f1)
+        bpart = lowest_bits(block, k % r)
         f |= bpart
-        x = (block & ~bpart) & -(block & ~bpart)
+        rest = block & ~bpart
+        x = rest & -rest
     size = n - k + r - -(-k // r) + 1
     w = MinorWitness(f, x, r, size, formula_size=size)
     return _verified(m, w)
@@ -205,30 +208,12 @@ def witness_eq4(m: MrMatroid, k_prime: int) -> MinorWitness:
     side instead; the size formula is unchanged.
     """
     p = m.params
-    n, k, r, g = p.n, p.k, p.r, p.g
-    if not r < k_prime < k:
+    if not p.r < k_prime < p.k:
         raise ParameterError(f"rank target must satisfy r < k' < k, got k'={k_prime}")
-    f = _spread(p, k - k_prime, r - 1)
+    f = _spread(p, p.k - k_prime, p.r - 1)
     if f is None:
         raise RuntimeError("no repair-set split reaches the required contraction rank")
-
-    x = 0
-    for b in p.repair_sets:
-        if f & b == b:
-            continue
-        rest = b & ~f
-        x |= rest & -rest
-    size = n - g - k + k_prime
-    w = MinorWitness(f, x, k_prime, size, formula_size=size)
-    return _verified(m, w)
-
-
-def _rank_flats(m: Matroid, target_rank: int) -> list[int]:
-    if isinstance(m, MrMatroid):
-        all_flats = mr_flats(m)
-    else:
-        all_flats = generic_flats(m)
-    return [f for f in all_flats if m.rank(f) == target_rank]
+    return _transversal_witness(m, f, k_prime)
 
 
 def _small_circuits(view: Matroid, k_prime: int) -> list[int]:
@@ -283,7 +268,9 @@ def oracle_max_uniform(m: Matroid, k_prime: int) -> tuple[int, MinorWitness | No
         raise ParameterError(f"oracle rank target must satisfy 2 <= k' <= rank(E)={k0}")
     best_size = 0
     best: MinorWitness | None = None
-    for f in _rank_flats(m, k0 - k_prime):
+    for f in flats(m):
+        if m.rank(f) != k0 - k_prime:
+            continue
         ground = m.ground & ~f
         if popcount(ground) <= best_size or popcount(ground) < k_prime:
             continue

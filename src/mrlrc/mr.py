@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
-from .matroid import Matroid
+from .matroid import _RANK_BATCH, Matroid
 from .subsets import (
     format_indices,
     full_mask,
@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _MR_FLATS_LIMIT = 24
-_MR_FLATS_CHUNK = 1 << 20  # masks per vectorised step of mr_flats
 
 
 @dataclass(frozen=True)
@@ -151,8 +150,8 @@ def mr_flats(m: MrMatroid) -> list[int]:
 
     out = []
     total = 1 << p.n
-    for lo in range(0, total, _MR_FLATS_CHUNK):
-        masks = np.arange(lo, min(lo + _MR_FLATS_CHUNK, total), dtype=np.int64)
+    for lo in range(0, total, _RANK_BATCH):
+        masks = np.arange(lo, min(lo + _RANK_BATCH, total), dtype=np.int64)
         full = np.zeros(len(masks), dtype=np.int64)
         bad = np.zeros(len(masks), dtype=bool)
         for b in p.repair_sets:

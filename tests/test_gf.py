@@ -271,3 +271,35 @@ def test_tables_match_reference_on_random_pairs(spec):
         if b:
             assert _ref_mul(spec, f.inv(b), b) == 1, b
             assert _ref_mul(spec, f.div(a, b), b) == a, (a, b)
+
+
+def _ref_poly_mul(a: int, b: int, p: int) -> int:
+    da, db = _ref_digits(a, p), _ref_digits(b, p)
+    prod = [0] * (len(da) + len(db) - 1)
+    for i, ca in enumerate(da):
+        for j, cb in enumerate(db):
+            prod[i + j] = (prod[i + j] + ca * cb) % p
+    return _ref_undigits(prod, p)
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 6), (3, 4), (5, 3)])
+def test_irreducibility_matches_reference(p, max_deg):
+    # a monic polynomial is reducible iff it is a product of two monic
+    # polynomials of lower degree; monic of degree d = p^d + tail, tail < p^d
+    def monic(d):
+        return range(p**d, 2 * p**d)
+
+    for m in range(2, max_deg + 1):
+        reducible = {
+            _ref_poly_mul(a, b, p)
+            for d in range(1, m // 2 + 1)
+            for a in monic(d)
+            for b in monic(m - d)
+        }
+        for mod in monic(m):
+            try:
+                FieldSpec(p, m, mod)
+                accepted = True
+            except ParameterError:
+                accepted = False
+            assert accepted == (mod not in reducible), (p, m, mod)

@@ -166,12 +166,53 @@ def test_flats_u32():
     assert got == [0, 0b001, 0b010, 0b100, 0b111]
 
 
+def _reference_flats(m):
+    """Scalar closure test on every ground subset, sorted by (size, mask)."""
+    return sorted((s for s in submasks(m.ground) if is_flat(m, s)), key=lambda s: (popcount(s), s))
+
+
 def test_flats_sorted_and_contain_ground():
     m = make_mr(8, 4, 3)
     fs = flats(m)
     assert m.ground in fs
     keys = [(popcount(f), f) for f in fs]
     assert keys == sorted(keys)
+    # seeded minors, whose grounds are scattered: the closure test runs in
+    # index space, away from the full ground
+    rng = random.Random(30)
+    triples = valid_param_triples(12)
+    for _ in range(30):
+        n, k, r = rng.choice(triples)
+        base = make_mr(n, k, r)
+        c = rng.getrandbits(n) & rng.getrandbits(n)
+        d = rng.getrandbits(n) & rng.getrandbits(n) & ~c
+        view = minor(base, c, d)
+        assert flats(view) == _reference_flats(view)
+
+
+def test_scans_of_wide_minors_are_sized_by_the_ground():
+    # 10-14 members scattered over a 40-bit mask space: the tables hold 2^t
+    # entries for t ground members, not 2^40
+    m = make_mr(40, 20, 3)
+    views = [restrict(m, 0xFFF << 20)]
+    rng = random.Random(40)
+    for t in (10, 12, 14):
+        keep = mask_of(rng.sample(range(40), t))
+        views.append(restrict(m, keep))
+        c = mask_of(rng.sample(bits_of(m.ground & ~keep), rng.randint(1, 12)))
+        views.append(contract(restrict(m, keep | c), c))
+    assert len(flats(views[0])) == 1728
+    for view in views:
+        assert 10 <= view.ground_size <= 14
+        assert flats(view) == _reference_flats(view)
+        assert check_axioms(view).passed
+
+
+def test_scans_refuse_a_member_at_bit_63():
+    view = restrict(make_mr(64, 40, 3), 0xFF << 56)
+    for scan in (flats, check_axioms):
+        with pytest.raises(OverflowError):
+            scan(view)
 
 
 def test_minor_view_rank_formula():

@@ -1,7 +1,7 @@
 import pytest
 
 from mrlrc.errors import ParameterError, SizeRefusal
-from mrlrc.matroid import contract, is_uniform, minor
+from mrlrc.matroid import contract, is_uniform, minor, restrict
 from mrlrc.minors import (
     MinorWitness,
     oracle_max_uniform,
@@ -207,6 +207,15 @@ def test_flat_restriction_loses_nothing():
         for kp in range(2, k + 1):
             restricted, _ = oracle_max_uniform(m, kp)
             assert restricted == _unrestricted_max_uniform(m, kp), (n, k, r, kp)
+
+
+def test_oracle_on_a_wide_restriction():
+    # 12 members at bits 20-31 of a 40-bit mask space: the flats come from
+    # a scan over the 2^12 ground subsets
+    view = restrict(make_mr(40, 20, 3), 0xFFF << 20)
+    size, w = oracle_max_uniform(view, 2)
+    assert size == 3 and w.claimed_size == 3 and w.target_rank == 2
+    assert verify_witness(view, w)
 
 
 def test_oracle_refusals_and_validation():
