@@ -1,9 +1,13 @@
 """Linear-code bridge: generator matrices, their matroids, MR/MDS certification.
 
-Columns of a generator matrix index the ground set; the rank of a subset
-is the rank of the corresponding column submatrix.  Deletion and
-contraction of the matroid correspond to puncturing and shortening of the
-code, which are implemented directly on the matrix.
+Columns of a generator matrix index the ground set.  `LinearMatroid.rank`
+is the one column-set rank: the rank of the column submatrix, computed on
+every call (no memo; the checks below rarely rank a set twice).
+`is_mds_code` and `is_mr_lrc` rank through it.  Contraction and deletion of
+the matroid are shortening and puncturing of the code, and
+`shorten_then_puncture` is the one code minor: it eliminates the contracted
+columns once and keeps the other rows on the columns that survive, in the
+caller's labels.  `shorten` and `puncture` are its two one-sided cases.
 
 Maximal recoverability is certified on two independent paths.
 `search_mr_code` certifies each trial's parity-check matrix on the parity
@@ -24,7 +28,7 @@ from .errors import ParameterError, SizeRefusal
 from .gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field
 from .matroid import Matroid
 from .mr import MrParams
-from .subsets import bits_of, full_mask, mask_of, popcount
+from .subsets import bits_of, full_mask, masks_of_size
 
 _CODE_LIMIT = 24
 # A refusal counts the certificate's checks only when that takes at most this many steps.
@@ -52,9 +56,6 @@ class GenMatrix:
     def k(self) -> int:
         return len(self.rows)
 
-    def submatrix_columns(self, cols) -> list[list[int]]:
-        return [[row[j] for j in cols] for row in self.rows]
-
 
 def matrix_from_rows(field: FieldSpec, rows) -> GenMatrix:
     rows = tuple(tuple(int(v) for v in r) for r in rows)
@@ -64,23 +65,17 @@ def matrix_from_rows(field: FieldSpec, rows) -> GenMatrix:
 
 
 class LinearMatroid(Matroid):
-    """Column matroid of a generator matrix; ranks are memoized."""
+    """Column matroid of a generator matrix: rank(x) is the rank of the x-columns."""
 
     def __init__(self, gm: GenMatrix):
         self.gm = gm
-        self.width = gm.n
         self.ground = full_mask(gm.n)
         self._field = Field(gm.field)
-        self._cache: dict[int, int] = {0: 0}
 
     def rank(self, x: int) -> int:
         self._check_subset(x)
-        r = self._cache.get(x)
-        if r is None:
-            cols = bits_of(x)
-            r = mat_rank(self._field, self.gm.submatrix_columns(cols))
-            self._cache[x] = r
-        return r
+        cols = bits_of(x)
+        return mat_rank(self._field, [[row[j] for j in cols] for row in self.gm.rows])
 
 
 def code_to_matroid(gm: GenMatrix) -> LinearMatroid:
@@ -95,14 +90,10 @@ def is_mds_code(gm: GenMatrix) -> bool:
     """True iff every k columns are linearly independent (and the rows are too)."""
     if gm.n > _CODE_LIMIT:
         raise SizeRefusal(f"MDS check {_column_sets(gm.n, gm.k)}")
-    field = Field(gm.field)
-    k = gm.k
-    if mat_rank(field, [list(r) for r in gm.rows]) != k:
-        return False
-    for cols in combinations(range(gm.n), k):
-        if mat_rank(field, gm.submatrix_columns(cols)) != k:
-            return False
-    return True
+    m = LinearMatroid(gm)
+    return m.full_rank() == gm.k and all(
+        m.rank(x) == gm.k for x in masks_of_size(m.ground, gm.k)
+    )
 
 
 def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
@@ -118,62 +109,44 @@ def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
         )
     if gm.n > _CODE_LIMIT:
         raise SizeRefusal(f"MR check {_column_sets(p.n, p.k)}")
-    field = Field(gm.field)
-    for b in p.repair_sets:
-        if mat_rank(field, gm.submatrix_columns(bits_of(b))) > p.r:
-            return False
-    for cols in combinations(range(p.n), p.k):
-        mask = mask_of(cols)
-        if any(mask & b == b for b in p.repair_sets):
-            continue
-        if mat_rank(field, gm.submatrix_columns(cols)) != p.k:
-            return False
-    return True
+    m = LinearMatroid(gm)
+    return all(m.rank(b) <= p.r for b in p.repair_sets) and all(
+        m.rank(x) == p.k
+        for x in masks_of_size(m.ground, p.k)
+        if not any(x & b == b for b in p.repair_sets)
+    )
 
 
-def puncture(gm: GenMatrix, x: int) -> GenMatrix:
-    """Drop the columns in x (matroid deletion)."""
-    if x & ~full_mask(gm.n):
-        raise ParameterError("puncture columns outside [n]")
-    keep = [j for j in range(gm.n) if not x >> j & 1]
-    rows = tuple(tuple(row[j] for j in keep) for row in gm.rows)
-    return GenMatrix(gm.field, len(keep), rows)
+def shorten_then_puncture(gm: GenMatrix, contract_mask: int, delete_mask: int) -> GenMatrix:
+    """The code minor: shorten at contract_mask, puncture at delete_mask.
 
-
-def shorten(gm: GenMatrix, x: int) -> GenMatrix:
-    """Shorten at the columns in x (matroid contraction).
-
-    Eliminates the x-columns: the rows that end up zero on all of x
-    generate the codewords vanishing on x; restricting them to the other
-    coordinates gives the shortened code of dimension k - rank(x).
+    Both masks use gm's column labels.  Eliminating the contracted columns
+    leaves the rows that vanish on all of them, which generate the
+    codewords vanishing there (matroid contraction, dimension
+    k - rank(contract_mask)); those rows are kept on the columns outside
+    both masks (deletion drops the rest).
     """
-    if x & ~full_mask(gm.n):
-        raise ParameterError("shorten columns outside [n]")
-    rows, pivots = _eliminate(Field(gm.field), gm.rows, bits_of(x))
+    if contract_mask & delete_mask:
+        raise ParameterError("contract and delete columns overlap")
+    if (contract_mask | delete_mask) & ~full_mask(gm.n):
+        raise ParameterError("shorten/puncture columns outside [n]")
+    rows, pivots = _eliminate(Field(gm.field), gm.rows, bits_of(contract_mask))
     used = {i for i, _ in pivots}
-    keep = [j for j in range(gm.n) if not x >> j & 1]
+    keep = bits_of(full_mask(gm.n) & ~contract_mask & ~delete_mask)
     new_rows = tuple(
         tuple(row[j] for j in keep) for i, row in enumerate(rows) if i not in used
     )
     return GenMatrix(gm.field, len(keep), new_rows)
 
 
-def shorten_then_puncture(gm: GenMatrix, contract_mask: int, delete_mask: int) -> GenMatrix:
-    """Shorten at contract_mask, then puncture at delete_mask.
+def shorten(gm: GenMatrix, x: int) -> GenMatrix:
+    """Shorten at the columns in x (matroid contraction)."""
+    return shorten_then_puncture(gm, x, 0)
 
-    delete_mask uses the original column labels; shortening renumbers the
-    surviving columns densely, so the deletions are remapped before
-    puncturing.
-    """
-    if contract_mask & delete_mask:
-        raise ParameterError("contract and delete columns overlap")
-    shortened = shorten(gm, contract_mask)
-    survivors = [j for j in range(gm.n) if not contract_mask >> j & 1]
-    remapped = 0
-    for new_j, old_j in enumerate(survivors):
-        if delete_mask >> old_j & 1:
-            remapped |= 1 << new_j
-    return puncture(shortened, remapped)
+
+def puncture(gm: GenMatrix, x: int) -> GenMatrix:
+    """Drop the columns in x (matroid deletion)."""
+    return shorten_then_puncture(gm, 0, x)
 
 
 def _difference_sets(groups, r: int, budget: int):
@@ -282,7 +255,6 @@ def read_matrix(text: str) -> GenMatrix:
         if not tok.startswith("modulus="):
             raise ValueError(f"unknown field option {tok!r}")
         spec_txt += ":" + tok.split("=", 1)[1]
-    field = parse_field(spec_txt)
     try:
         k, n = (int(v) for v in lines[1].split())
     except ValueError as exc:
@@ -290,7 +262,11 @@ def read_matrix(text: str) -> GenMatrix:
     rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[2:])
     if len(rows) != k:
         raise ValueError(f"expected {k} rows, found {len(rows)}")
-    return GenMatrix(field, n, rows)
+    # a malformed file is a parse error, whichever check finds it
+    try:
+        return GenMatrix(parse_field(spec_txt), n, rows)
+    except ParameterError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 __all__ = [

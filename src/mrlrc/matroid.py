@@ -2,12 +2,13 @@
 
 A matroid is a rank oracle on subsets of a ground mask.  The ground set is
 not required to be {0..n-1}: minor views keep their parent's element
-labels, so `ground` is an arbitrary mask inside a mask space of `width`
-bits.  Enumerative operations refuse above their stated size limits.
-Axiom checking and flats rank each of the 2^t subsets of the t-element
-ground once, in one table indexed by dense index (bit j of an index is the
-j-th ground member), so their memory is 2^t whatever the mask width;
-uniformity ranks the k-subsets in batches.
+labels, so `ground` is an arbitrary mask, possibly with high bits.
+Enumerative operations refuse above their stated size limits.  Axiom
+checking and flats rank each of the 2^t subsets of the t-element ground
+once, in one table indexed by dense index (bit j of an index is the j-th
+ground member), so their memory is 2^t whatever the highest member; both
+walk that table the same way, through reshaped views whose axes are bits
+of the index.  Uniformity ranks the k-subsets in batches.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ _UNIFORM_LIMIT = 1 << 26  # k-subsets is_uniform ranks before it refuses
 class Matroid:
     """Base rank oracle.  Subclasses implement rank(mask)."""
 
-    width: int  # number of bits in the mask space
     ground: int  # mask of the ground set
 
     @property
@@ -72,7 +72,6 @@ class TableMatroid(Matroid):
     def __init__(self, n: int, table):
         import numpy as np
 
-        self.width = n
         self.ground = full_mask(n)
         self._table = np.asarray(table, dtype=np.int64)
         if len(self._table) != 1 << n:
@@ -114,7 +113,6 @@ class MinorView(Matroid):
         self.base = base
         self.contract = contract
         self.keep = keep
-        self.width = base.width
         self.ground = keep
         self._r0 = base.rank(contract)
 
@@ -160,14 +158,15 @@ def rank_vector(m: Matroid, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(idx, subs, rk) over the 2^t subsets of the t-element ground, in dense index order.
+def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
+    """(subs, rk) over the 2^t subsets of the t-element ground, in dense index order.
 
-    idx = arange(2^t), and bit j of an index stands for the j-th ground
-    member: subs deposits those bits onto the members, one shift per run of
-    consecutive members, so subs ascends and memory is O(2^t) whatever the
-    mask width.  rk = rank_vector(m, subs).  A member at bit 63 does not
-    fit int64 (OverflowError).
+    Bit j of an index stands for the j-th ground member: subs deposits
+    those bits onto the members, one shift per run of consecutive members,
+    so subs ascends and memory is O(2^t) whatever the highest member.
+    rk = rank_vector(m, subs).  Axis 1 of x.reshape(-1, 2, 2^j) is bit j of
+    the index, for x either array.  A member at bit 63 does not fit int64
+    (OverflowError).
     """
     import numpy as np
 
@@ -180,7 +179,7 @@ def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         members = ((1 << run) - 1) << lo
         subs |= (idx << (lo - j)) & np.int64(members)
         j, rest = j + run, rest & ~members
-    return idx, subs, rank_vector(m, subs)
+    return subs, rank_vector(m, subs)
 
 
 @dataclass
@@ -211,7 +210,7 @@ def check_axioms(m: Matroid) -> AxiomReport:
         )
     import numpy as np
 
-    idx, subs, rk = _rank_table(m)
+    subs, rk = _rank_table(m)
 
     report = AxiomReport(True, True, True)
 
@@ -221,24 +220,29 @@ def check_axioms(m: Matroid) -> AxiomReport:
         report.r1_ok = False
         report.counterexamples["R1"] = (int(subs[i]), int(subs[i]))
 
+    # In each view below, the first True in C order is the least X, as in
+    # a scan of the indices in ascending order.
     for i in range(t):
-        a = 1 << i
-        xs = idx[(idx & a) == 0]
-        bad2 = rk[xs] > rk[xs | a]
+        # axis 1 is the i-th member: [:, 0] is X, [:, 1] is X+a
+        r = rk.reshape(-1, 2, 1 << i)
+        bad2 = r[:, 0] > r[:, 1]
         if bad2.any():
-            x = xs[np.argmax(bad2)]
+            u, v = np.unravel_index(np.argmax(bad2), bad2.shape)
+            s = subs.reshape(-1, 2, 1 << i)[u, :, v]
             report.r2_ok = False
-            report.counterexamples["R2"] = (int(subs[x]), int(subs[x | a]))
+            report.counterexamples["R2"] = (int(s[0]), int(s[1]))
             break
 
     for i, j in combinations(range(t), 2):
-        a, b = 1 << i, 1 << j
-        xs = idx[(idx & (a | b)) == 0]
-        bad3 = rk[xs | a] + rk[xs | b] < rk[xs | a | b] + rk[xs]
+        # axes 1 and 3 are the j-th and i-th members: [:, 0, :, 1] is X+a, [:, 1, :, 0] is X+b
+        shape = (-1, 2, 1 << (j - i - 1), 2, 1 << i)
+        r = rk.reshape(shape)
+        bad3 = r[:, 0, :, 1] + r[:, 1, :, 0] < r[:, 1, :, 1] + r[:, 0, :, 0]
         if bad3.any():
-            x = xs[np.argmax(bad3)]
+            u, w, v = np.unravel_index(np.argmax(bad3), bad3.shape)
+            s = subs.reshape(shape)[u, :, w, :, v]
             report.r3_ok = False
-            report.counterexamples["R3"] = (int(subs[x | a]), int(subs[x | b]))
+            report.counterexamples["R3"] = (int(s[0, 1]), int(s[1, 0]))
             break
     return report
 
@@ -268,7 +272,7 @@ def flats(m: Matroid) -> list[int]:
         )
     import numpy as np
 
-    _, subs, rk = _rank_table(m)
+    subs, rk = _rank_table(m)
     flat = np.ones(len(subs), dtype=bool)
     for i in range(t):
         # axis 1 of the view is bit i of the index: a set without the i-th

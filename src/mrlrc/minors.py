@@ -5,16 +5,19 @@ target rank k' and the size n' of the resulting minor.  Constructors build
 the witness for each of the four size formulas.  The oracle contracts each
 flat of the right rank (sufficient by the Scum theorem), taken from the
 generic closure scan `matroid.flats`, and then chooses arbitrary deletions.
-It shares nothing with the constructors beyond the rank oracle, and nothing
-with the closed-form `mr.mr_flats`, which stays the independent check of
-the scan.
+It uses none of the constructors and nothing of the closed-form
+`mr.mr_flats`, which stays the independent check of the scan.  The
+constructors do use the oracle: in the eq3 gap cases, where `_spread`
+finds no contract set (the minimal j overshoots), `witness_eq3` falls back
+to `oracle_max_uniform`, so there construction and oracle are one path,
+not two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bounds import eq3_size
+from .bounds import eq2_size, eq3_size
 from .errors import ParameterError, SizeRefusal
 from .matroid import (
     Matroid,
@@ -122,7 +125,7 @@ def witness_eq2(m: MrMatroid) -> MinorWitness:
     k - r, and delete one leftover element of that block.
     """
     p = m.params
-    n, k, r = p.n, p.k, p.r
+    k, r = p.k, p.r
     kr = k // r
     f = x = 0
     for b in p.repair_sets[: kr - 1]:
@@ -133,7 +136,7 @@ def witness_eq2(m: MrMatroid) -> MinorWitness:
         f |= bpart
         rest = block & ~bpart
         x = rest & -rest
-    size = n - k + r - -(-k // r) + 1
+    size = eq2_size(p)
     w = MinorWitness(f, x, r, size, formula_size=size)
     return _verified(m, w)
 

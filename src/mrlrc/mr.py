@@ -114,7 +114,6 @@ class MrMatroid(Matroid):
         if params.n > 64:
             raise ParameterError(f"matroid ground sets are limited to 64 elements, got n={params.n}")
         self.params = params
-        self.width = params.n
         self.ground = full_mask(params.n)
 
     def rank(self, x: int) -> int:

@@ -208,6 +208,27 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_bad_matrix_file_is_a_parse_error(capsys, tmp_path):
+    # a short row, an entry outside the field and a field that does not exist
+    # used to exit 3, the code of a bad parameter
+    files = {
+        "row length 3 does not match n=4": "field 13\n1 4\n1 2 3\n",
+        "entry 13 outside GF(13)": "field 13\n1 4\n1 2 3 13\n",
+        "characteristic must be prime": "field 4\n1 4\n1 2 3 0\n",
+    }
+    for message, text in files.items():
+        mat = tmp_path / "bad.txt"
+        mat.write_text(text)
+        code, out, err = run(capsys, "code", "check", str(mat))
+        assert code == 2, message
+        assert message in err
+        assert out == ""
+    # as a command-line parameter, the same field stays a parameter error
+    code, _, err = run(capsys, "code", "search", "8,4,3", "--field", "4", "--seed", "1")
+    assert code == 3
+    assert "characteristic must be prime" in err
+
+
 _NUMPY_PROBE = """
 import json, sys
 import mrlrc, mrlrc.cli

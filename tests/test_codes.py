@@ -1,8 +1,10 @@
 import random
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from mrlrc import codes
 from mrlrc.codes import (
     GenMatrix,
     _heavy_rows_are_mr,
@@ -18,7 +20,7 @@ from mrlrc.codes import (
     write_matrix,
 )
 from mrlrc.errors import ParameterError, SizeRefusal
-from mrlrc.gf import Field, FieldSpec, nullspace, parse_field
+from mrlrc.gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field
 from mrlrc.matroid import contract, delete, rank_vector
 from mrlrc.minors import witness_eq1, witness_eq2, witness_eq3
 from mrlrc.mr import make_mr, make_params, parse_params
@@ -236,6 +238,126 @@ def test_shorten_then_puncture_overlap_error():
     gm = _rs_matrix(7, 6, 3)
     with pytest.raises(ParameterError):
         shorten_then_puncture(gm, 0b11, 0b10)
+    # columns outside [n], on either side of the minor
+    for f, x in ((1 << 6, 0), (0, 1 << 6), (0b1, 1 << 9)):
+        with pytest.raises(ParameterError, match=r"outside \[n\]"):
+            shorten_then_puncture(gm, f, x)
+    for op in (shorten, puncture):
+        with pytest.raises(ParameterError, match=r"outside \[n\]"):
+            op(gm, 0b1 | 1 << 6)
+
+
+def _shorten_relabel_puncture(gm, f, x):
+    """Reference code minor in three steps: shorten at f, which renumbers the
+    surviving columns densely; carry x over to the new labels; puncture."""
+    rows, pivots = _eliminate(Field(gm.field), gm.rows, bits_of(f))
+    used = {i for i, _ in pivots}
+    survivors = [j for j in range(gm.n) if not f >> j & 1]
+    shortened = GenMatrix(
+        gm.field,
+        len(survivors),
+        tuple(tuple(row[j] for j in survivors) for i, row in enumerate(rows) if i not in used),
+    )
+    remapped = 0
+    for new_j, old_j in enumerate(survivors):
+        if x >> old_j & 1:
+            remapped |= 1 << new_j
+    keep = [j for j in range(shortened.n) if not remapped >> j & 1]
+    return GenMatrix(gm.field, len(keep), tuple(tuple(row[j] for j in keep) for row in shortened.rows))
+
+
+_FIELDS = ("13", "2^4", "3^2", "2^8:285")
+
+
+def _random_matrix(rng, spec, n):
+    """k x n with random entries, k random; half of them repeat row 0 as the last row."""
+    k = rng.randint(1, n)
+    rows = [[rng.randrange(spec.q) for _ in range(n)] for _ in range(k)]
+    if k > 1 and rng.random() < 0.5:
+        rows[-1] = rows[0]
+    return matrix_from_rows(spec, rows)
+
+
+def test_minor_matches_shorten_relabel_puncture():
+    rng = random.Random(12)
+    for text in _FIELDS:
+        spec = parse_field(text)
+        for n in range(1, 13):
+            gm = _random_matrix(rng, spec, n)
+            if n <= 6:  # every disjoint (F, X): each column in F, in X or in neither
+                pairs = [
+                    (mask_of(j for j in range(n) if side[j] == 1), mask_of(j for j in range(n) if side[j] == 2))
+                    for side in product(range(3), repeat=n)
+                ]
+            else:
+                pairs = [(f, rng.getrandbits(n) & ~f) for f in (rng.getrandbits(n) for _ in range(40))]
+            for f, x in pairs:
+                assert shorten_then_puncture(gm, f, x) == _shorten_relabel_puncture(gm, f, x), (text, f, x)
+                assert shorten(gm, f) == _shorten_relabel_puncture(gm, f, 0)
+                assert puncture(gm, x) == _shorten_relabel_puncture(gm, 0, x)
+
+
+def _mds_by_combinations(gm, rank):
+    """Reference is_mds_code: the rows, then every k-tuple of columns."""
+    field = Field(gm.field)
+    if rank(field, [list(r) for r in gm.rows]) != gm.k:
+        return False
+    for cols in combinations(range(gm.n), gm.k):
+        if rank(field, [[row[j] for j in cols] for row in gm.rows]) != gm.k:
+            return False
+    return True
+
+
+def _mr_by_combinations(gm, p, rank):
+    """Reference is_mr_lrc: each repair set, then every k-tuple holding no whole repair set."""
+    field = Field(gm.field)
+    for b in p.repair_sets:
+        if rank(field, [[row[j] for j in bits_of(b)] for row in gm.rows]) > p.r:
+            return False
+    for cols in combinations(range(p.n), p.k):
+        mask = mask_of(cols)
+        if any(mask & b == b for b in p.repair_sets):
+            continue
+        if rank(field, [[row[j] for j in cols] for row in gm.rows]) != p.k:
+            return False
+    return True
+
+
+def _recording(log):
+    def rank(field, rows):
+        log.append(rows)
+        return mat_rank(field, rows)
+
+    return rank
+
+
+def test_checks_match_combination_loops(monkeypatch):
+    # same verdicts, and the same column submatrices ranked in the same order
+    lib, ref = [], []
+    monkeypatch.setattr(codes, "mat_rank", _recording(lib))
+    rng = random.Random(13)
+    mds, mr = set(), set()
+    for text in _FIELDS:
+        spec = parse_field(text)
+        for _ in range(25):
+            gm = _random_matrix(rng, spec, rng.randint(1, 7))
+            verdict = is_mds_code(gm)
+            assert verdict == _mds_by_combinations(gm, _recording(ref))
+            assert lib == ref
+            mds.add(verdict)
+    for params, text in (("8,4,3", "13"), ("8,4,3:0,2,5,7;1,3,4,6", "2^4"), ("9,4,2", "3^2")):
+        p, spec = parse_params(params), parse_field(text)
+        for t in range(30):
+            trial = random.Random(f"c:{t}")
+            heavy = [[trial.randrange(spec.q) for _ in range(p.n)] for _ in range(p.h)]
+            gm = _parity_kernel(p, spec, heavy)
+            if gm is None or t % 5 == 0:  # a random matrix has no local parities
+                gm = matrix_from_rows(spec, [[trial.randrange(spec.q) for _ in range(p.n)] for _ in range(p.k)])
+            verdict = is_mr_lrc(gm, p)
+            assert verdict == _mr_by_combinations(gm, p, _recording(ref))
+            assert lib == ref
+            mr.add(verdict)
+    assert mds == mr == {True, False}
 
 
 def test_matrix_io_roundtrip():

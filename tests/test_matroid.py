@@ -50,7 +50,7 @@ def _pair_scan(m):
     """Reference axiom check: (R1, R2, R3) verdicts over all 4^t subset pairs."""
     subs = np.array(submasks(m.ground), dtype=np.int64)
     rk = rank_vector(m, subs)
-    table = np.full(1 << m.width, -1, dtype=np.int64)
+    table = np.full(1 << m.ground.bit_length(), -1, dtype=np.int64)
     table[subs] = rk
     x, y = subs[:, None], subs[None, :]
     rx, ry = rk[:, None], rk[None, :]
@@ -118,6 +118,62 @@ def test_axioms_local_forms_on_minor_views():
         x = rng.getrandbits(n)
         y = rng.getrandbits(n) & ~x
         _assert_matches_pair_scan(minor(base, x, y))
+
+
+def _gather_scan(m):
+    """Reference check_axioms report, walked by an index array and gathers.
+
+    Same local forms and the same first counterexample (least X, first
+    element or pair) as `check_axioms`, found by boolean selection of the
+    indices without each member and fancy indexing of the rank table.
+    """
+    t = m.ground_size
+    idx = np.arange(1 << t, dtype=np.int64)
+    subs = np.array(submasks(m.ground), dtype=np.int64)  # dense index order
+    rk = rank_vector(m, subs)
+    found = {}
+    bad1 = (rk < 0) | (rk > popcount_array(subs))
+    if bad1.any():
+        x = int(np.argmax(bad1))
+        found["R1"] = (int(subs[x]), int(subs[x]))
+    for i in range(t):
+        a = 1 << i
+        xs = idx[(idx & a) == 0]
+        bad2 = rk[xs] > rk[xs | a]
+        if bad2.any():
+            x = xs[np.argmax(bad2)]
+            found["R2"] = (int(subs[x]), int(subs[x | a]))
+            break
+    for i, j in combinations(range(t), 2):
+        a, b = 1 << i, 1 << j
+        xs = idx[(idx & (a | b)) == 0]
+        bad3 = rk[xs | a] + rk[xs | b] < rk[xs | a | b] + rk[xs]
+        if bad3.any():
+            x = xs[np.argmax(bad3)]
+            found["R3"] = (int(subs[x | a]), int(subs[x | b]))
+            break
+    return ("R1" not in found, "R2" not in found, "R3" not in found), found
+
+
+def test_axioms_view_walk_matches_gather_scan():
+    # the reshaped-view walk reports the same verdicts and the same
+    # counterexample pairs as the gather scan, on tables and on their minors
+    rng = random.Random(600)
+    failing = set()
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        m = TableMatroid(n, _random_table(rng, n))
+        kind = rng.randrange(3)
+        if kind == 1:
+            m = restrict(m, rng.getrandbits(n))
+        elif kind == 2:
+            m = contract(m, rng.getrandbits(n) & rng.getrandbits(n))
+        report = check_axioms(m)
+        verdicts, found = _gather_scan(m)
+        assert (report.r1_ok, report.r2_ok, report.r3_ok) == verdicts
+        assert report.counterexamples == found
+        failing |= found.keys()
+    assert failing == {"R1", "R2", "R3"}
 
 
 def test_axioms_pass_mr():
