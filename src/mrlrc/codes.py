@@ -3,7 +3,9 @@
 Columns of a generator matrix index the ground set.  `LinearMatroid.rank`
 is the one column-set rank: the rank of the column submatrix, computed on
 every call (no memo; the checks below rarely rank a set twice).
-`is_mds_code` and `is_mr_lrc` rank through it.  Contraction and deletion of
+`is_mds_code` and `is_mr_lrc` rank through it; `is_mds_code` ranks the
+smaller side of the duality, the k-column sets of G or, for a high-rate
+code, the (n-k)-column sets of its dual.  Contraction and deletion of
 the matroid are shortening and puncturing of the code, and
 `shorten_then_puncture` is the one code minor: it eliminates the contracted
 columns once and keeps the other rows on the columns that survive, in the
@@ -87,13 +89,23 @@ def _column_sets(n: int, k: int) -> str:
 
 
 def is_mds_code(gm: GenMatrix) -> bool:
-    """True iff every k columns are linearly independent (and the rows are too)."""
+    """True iff the rows are independent and every k columns are too.
+
+    A code is MDS iff its dual is (MacWilliams and Sloane, ch. 11, Thm 2),
+    so when 2k > n the check ranks the (n-k)-column sets of a parity-check
+    matrix, nullspace(G), instead: as many sets, each min(k, n-k) wide.
+    """
     if gm.n > _CODE_LIMIT:
         raise SizeRefusal(f"MDS check {_column_sets(gm.n, gm.k)}")
     m = LinearMatroid(gm)
-    return m.full_rank() == gm.k and all(
-        m.rank(x) == gm.k for x in masks_of_size(m.ground, gm.k)
-    )
+    if m.full_rank() != gm.k:
+        return False
+    if 2 * gm.k > gm.n:
+        # an [n, n] code's dual has no rows: its one 0-column set has rank 0
+        dual = nullspace(m._field, gm.rows)
+        m = LinearMatroid(GenMatrix(gm.field, gm.n, tuple(map(tuple, dual))))
+    d = m.gm.k
+    return all(m.rank(x) == d for x in masks_of_size(m.ground, d))
 
 
 def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:

@@ -10,7 +10,8 @@ Arithmetic runs on log/antilog/Zech-logarithm tables, built once per field
 on its first use (the table technique of Plank, Greenan and Miller, FAST
 2013): a product, inverse or negation is a sum of logs, a sum is a Zech
 lookup.  The digit-polynomial routines below only build the tables of
-odd-characteristic extensions and test moduli for irreducibility.
+odd-characteristic extensions and test odd-p moduli for irreducibility;
+for p = 2 both multiply and divide bit patterns by shift and XOR.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ def _poly_mul(a: int, b: int, p: int) -> int:
 
 
 def _poly_mod(a: int, mod: int, p: int) -> int:
+    if p == 2:
+        # bit patterns: subtracting a shifted modulus is an XOR
+        dgm = mod.bit_length() - 1
+        while a.bit_length() > dgm:
+            a ^= mod << (a.bit_length() - 1 - dgm)
+        return a
     da = _digits(a, p)
     dm = _digits(mod, p)
     dgm = len(dm) - 1
@@ -151,9 +158,7 @@ def parse_field(text: str) -> FieldSpec:
     if "^" in text:
         ptxt, mtxt = text.split("^", 1)
         return FieldSpec(int(ptxt), int(mtxt), modulus)
-    if modulus is not None:
-        raise ValueError("prime fields take no modulus")
-    return FieldSpec(int(text))
+    return FieldSpec(int(text), 1, modulus)
 
 
 def _construction_mul(spec: FieldSpec, a: int, b: int) -> int:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 
@@ -74,6 +75,53 @@ def test_largest_is_max_of_families():
         p = make_params(n, k, r)
         cands = [eq1_size(p), eq2_size(p)] + [eq3_size(p, kp) for kp in eq3_range(p)]
         assert largest_uniform_size(p) == max(cands), (n, k, r)
+
+
+def _profile_optima(n, r):
+    """{k: {k': best size of a rank-k' uniform minor}} of the (n, k, r) MR matroids.
+
+    A proper flat F meets each block in 0..r-1 or r+1 elements and has rank
+    |F| - #{blocks inside F} < k.  In M/F, of rank k' = k - r(F), a k'-set
+    is dependent iff it holds some b - F, and those sets are disjoint, so
+    the best rank-k' minor over F's block-intersection profile deletes one
+    element of each b not inside F with |b - F| <= k': size
+    n - |F| - #{b not inside F : |b - F| <= k'}.  Only the rank formula is
+    used, not the paper's constructions.
+    """
+    g = n // (r + 1)
+    profiles = []
+    for profile in combinations_with_replacement([*range(r), r + 1], g):
+        small = [0] * (r + 2)  # small[d]: blocks not inside F with |b - F| = d
+        for a in profile:
+            if a < r:
+                small[r + 1 - a] += 1
+        size = sum(profile)
+        profiles.append((size, size - profile.count(r + 1), list(accumulate(small))))
+    out = {}
+    for k in range(r + 1, g * r + 1):
+        best = out[k] = {}
+        for size, rank, small_upto in profiles:
+            kp = k - rank
+            if kp > 0:
+                best[kp] = max(best.get(kp, 0), n - size - small_upto[min(kp, r + 1)])
+    return out
+
+
+def test_profile_optimum_matches_the_size_formulas():
+    # a third path to the main theorem: the largest uniform minor over every rank k' >= 2
+    checked = 0
+    for n, r in sorted({(n, r) for n, _, r in valid_param_triples(60)}):
+        for k, best in _profile_optima(n, r).items():
+            p = make_params(n, k, r)
+            if r >= 2:
+                assert max(s for kp, s in best.items() if kp >= 2) == largest_uniform_size(p), (n, k, r)
+                checked += 1
+            if n <= 40:
+                assert best[k] == eq1_size(p), (n, k, r)
+                assert best[r] == eq2_size(p), (n, k, r)
+                for kp in eq4_range(p):
+                    assert best[kp] == eq4_size(p, kp), (n, k, r, kp)
+    assert checked == 2698
 
 
 def test_q_unconditional_frozen_values():

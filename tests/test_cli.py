@@ -229,6 +229,30 @@ def test_bad_matrix_file_is_a_parse_error(capsys, tmp_path):
     assert "characteristic must be prime" in err
 
 
+def test_field_flag_with_a_bad_modulus_is_a_parameter_error(capsys, tmp_path):
+    # a prime field with a modulus used to exit 2, unlike every other bad field
+    for field, message in (("13:5", "prime fields take no modulus"), ("2^8:284", "reducible")):
+        code, out, err = run(capsys, "code", "search", "8,4,3", "--field", field, "--seed", "1")
+        assert code == 3, field
+        assert message in err
+        assert out == ""
+    mat = tmp_path / "bad.txt"
+    mat.write_text("field 13 modulus=5\n1 4\n1 2 3 0\n")
+    code, _, err = run(capsys, "code", "check", str(mat))
+    assert code == 2
+    assert "prime fields take no modulus" in err
+
+
+def test_code_check_high_rate_minor(capsys, tmp_path):
+    # one column punctured per repair set of a (12,7,3) code: the [9,7] eq1 minor, MDS
+    mat, punctured = tmp_path / "c.txt", tmp_path / "p.txt"
+    run(capsys, "code", "search", "12,7,3", "--field", "257", "--seed", "7", "--trials", "5", "--out", str(mat))
+    code, _, _ = run(capsys, "code", "puncture", str(mat), "--cols", "0,4,8", "--out", str(punctured))
+    assert code == 0
+    code, out, _ = run(capsys, "code", "check", str(punctured))
+    assert (code, out) == (0, "MDS: true\n")
+
+
 _NUMPY_PROBE = """
 import json, sys
 import mrlrc, mrlrc.cli

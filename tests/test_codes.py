@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -27,10 +28,14 @@ from mrlrc.mr import make_mr, make_params, parse_params
 from mrlrc.subsets import bits_of, mask_of, submasks
 
 
-def _rs_matrix(q: int, n: int, k: int) -> GenMatrix:
-    field = FieldSpec(q)
-    rows = [[pow(x, i, q) for x in range(n)] for i in range(k)]
-    return matrix_from_rows(field, rows)
+def _rs_matrix(spec: FieldSpec, n: int, k: int) -> GenMatrix:
+    """Reed-Solomon generator matrix: row i evaluates x^i at the n field elements 0..n-1."""
+    f = Field(spec)
+    rows, row = [], [1] * n
+    for _ in range(k):
+        rows.append(row)
+        row = [f.mul(v, x) for v, x in zip(row, range(n))]
+    return matrix_from_rows(spec, rows)
 
 
 def test_genmatrix_validation():
@@ -44,7 +49,7 @@ def test_genmatrix_validation():
 
 
 def test_reed_solomon_is_mds():
-    gm = _rs_matrix(7, 6, 3)
+    gm = _rs_matrix(FieldSpec(7), 6, 3)
     assert is_mds_code(gm)
 
 
@@ -187,9 +192,9 @@ def test_search_is_deterministic():
 def test_is_mr_lrc_rejects_wrong_shape_and_bad_codes():
     p = make_params(8, 4, 3)
     with pytest.raises(ParameterError):
-        is_mr_lrc(_rs_matrix(13, 6, 3), p)
+        is_mr_lrc(_rs_matrix(FieldSpec(13), 6, 3), p)
     # an MDS code of the right shape has no local parities
-    assert not is_mr_lrc(_rs_matrix(13, 8, 4), p)
+    assert not is_mr_lrc(_rs_matrix(FieldSpec(13), 8, 4), p)
 
 
 def test_puncture_matches_deletion():
@@ -235,7 +240,7 @@ def test_witnesses_give_mds_codes():
 
 
 def test_shorten_then_puncture_overlap_error():
-    gm = _rs_matrix(7, 6, 3)
+    gm = _rs_matrix(FieldSpec(7), 6, 3)
     with pytest.raises(ParameterError):
         shorten_then_puncture(gm, 0b11, 0b10)
     # columns outside [n], on either side of the minor
@@ -332,7 +337,8 @@ def _recording(log):
 
 
 def test_checks_match_combination_loops(monkeypatch):
-    # same verdicts, and the same column submatrices ranked in the same order
+    # same verdicts, and the same column submatrices ranked in the same order,
+    # except where is_mds_code ranks the dual's (n-k)-column sets (full rank, 2k > n)
     lib, ref = [], []
     monkeypatch.setattr(codes, "mat_rank", _recording(lib))
     rng = random.Random(13)
@@ -341,9 +347,17 @@ def test_checks_match_combination_loops(monkeypatch):
         spec = parse_field(text)
         for _ in range(25):
             gm = _random_matrix(rng, spec, rng.randint(1, 7))
+            lib.clear()
+            ref.clear()
             verdict = is_mds_code(gm)
             assert verdict == _mds_by_combinations(gm, _recording(ref))
-            assert lib == ref
+            if 2 * gm.k <= gm.n or mat_rank(Field(spec), gm.rows) < gm.k:
+                assert lib == ref
+            else:
+                d = gm.n - gm.k
+                assert lib[0] == ref[0]
+                assert all(len(rows) == d and all(len(row) == d for row in rows) for rows in lib[1:])
+                assert len(lib) - 1 <= comb(gm.n, d)
             mds.add(verdict)
     for params, text in (("8,4,3", "13"), ("8,4,3:0,2,5,7;1,3,4,6", "2^4"), ("9,4,2", "3^2")):
         p, spec = parse_params(params), parse_field(text)
@@ -353,6 +367,8 @@ def test_checks_match_combination_loops(monkeypatch):
             gm = _parity_kernel(p, spec, heavy)
             if gm is None or t % 5 == 0:  # a random matrix has no local parities
                 gm = matrix_from_rows(spec, [[trial.randrange(spec.q) for _ in range(p.n)] for _ in range(p.k)])
+            lib.clear()
+            ref.clear()
             verdict = is_mr_lrc(gm, p)
             assert verdict == _mr_by_combinations(gm, p, _recording(ref))
             assert lib == ref
@@ -361,7 +377,7 @@ def test_checks_match_combination_loops(monkeypatch):
 
 
 def test_matrix_io_roundtrip():
-    for gm in (_rs_matrix(7, 6, 3), search_mr_code(make_params(8, 4, 3), FieldSpec(2, 4), trials=2000, seed=1)):
+    for gm in (_rs_matrix(FieldSpec(7), 6, 3), search_mr_code(make_params(8, 4, 3), FieldSpec(2, 4), trials=2000, seed=1)):
         if gm is None:
             continue
         text = write_matrix(gm)
@@ -416,3 +432,41 @@ def test_shorten_pinned_extension_field():
         "7 19 200 1 0 255\n"
         "18 165 135 30 240 43\n"
     )
+
+
+def test_mds_verdicts_match_primal_reference():
+    # the dual path (full rank, 2k > n) gives the primal verdict, and both verdicts occur there
+    rng = random.Random(14)
+    dual_side = set()
+    count = 0
+    for text in _FIELDS:
+        spec = parse_field(text)
+        for _ in range(300):
+            gm = _random_matrix(rng, spec, rng.randint(1, 8))
+            verdict = is_mds_code(gm)
+            assert verdict == _mds_by_combinations(gm, mat_rank), (text, gm.rows)
+            if 2 * gm.k > gm.n and mat_rank(Field(spec), gm.rows) == gm.k:
+                dual_side.add(verdict)
+            count += 1
+    assert count >= 1000
+    assert dual_side == {True, False}
+
+
+@pytest.mark.parametrize("spec, n, k", [(FieldSpec(257), 12, 9), (FieldSpec(257), 16, 12), (FieldSpec(2, 8, 285), 16, 13)])
+def test_high_rate_reed_solomon_is_mds(spec, n, k):
+    gm = _rs_matrix(spec, n, k)
+    assert is_mds_code(gm)
+    # column 5 becomes 3 times column 2: those two columns are dependent
+    f = Field(spec)
+    rows = [list(row) for row in gm.rows]
+    for row in rows:
+        row[5] = f.mul(3, row[2])
+    assert not is_mds_code(matrix_from_rows(spec, rows))
+
+
+def test_full_rank_square_code_is_mds():
+    for spec in (FieldSpec(13), FieldSpec(2, 8, 285)):
+        assert is_mds_code(matrix_from_rows(spec, [[int(i == j) for j in range(5)] for i in range(5)]))
+        assert is_mds_code(_rs_matrix(spec, 6, 6))
+    # a square matrix with a repeated row is not
+    assert not is_mds_code(matrix_from_rows(FieldSpec(13), [[1, 2, 3], [0, 1, 4], [1, 2, 3]]))

@@ -7,6 +7,8 @@ from mrlrc.gf import (
     BUILTIN_MODULI,
     Field,
     FieldSpec,
+    _is_irreducible,
+    _poly_mod,
     is_prime,
     mat_rank,
     nullspace,
@@ -201,16 +203,19 @@ def _ref_mul(s: FieldSpec, a: int, b: int) -> int:
     for i, ca in enumerate(da):
         for j, cb in enumerate(db):
             prod[i + j] = (prod[i + j] + ca * cb) % p
-    dm = _ref_digits(s.modulus, p)  # monic, degree m
-    while prod and prod[-1] == 0:
-        prod.pop()
-    while len(prod) > s.m:
-        shift, lead = len(prod) - 1 - s.m, prod[-1]
+    return _ref_poly_mod(_ref_undigits(prod, p), s.modulus, p)
+
+
+def _ref_poly_mod(a: int, mod: int, p: int) -> int:
+    """a mod a monic polynomial, on digit lists."""
+    da, dm = _ref_digits(a, p), _ref_digits(mod, p)
+    while len(da) >= len(dm):
+        shift, lead = len(da) - len(dm), da[-1]
         for i, c in enumerate(dm):
-            prod[shift + i] = (prod[shift + i] - lead * c) % p
-        while prod and prod[-1] == 0:
-            prod.pop()
-    return _ref_undigits(prod, p)
+            da[shift + i] = (da[shift + i] - lead * c) % p
+        while da and da[-1] == 0:
+            da.pop()
+    return _ref_undigits(da, p)
 
 
 def _ref_inv(s: FieldSpec, a: int) -> int:
@@ -303,3 +308,36 @@ def test_irreducibility_matches_reference(p, max_deg):
             except ParameterError:
                 accepted = False
             assert accepted == (mod not in reducible), (p, m, mod)
+
+
+def test_binary_poly_mod_matches_digit_routine():
+    # every monic divisor of degree 1..5 is 2^d + tail, tail < 2^d
+    for mod in range(2, 64):
+        for a in range(1 << 10):
+            assert _poly_mod(a, mod, 2) == _ref_poly_mod(a, mod, 2), (a, mod)
+
+
+def _gauss_count(p: int, d: int) -> int:
+    """Monic irreducibles of degree d over GF(p): (1/d) sum over e | d of mu(e) p^(d/e)."""
+
+    def mobius(e):
+        out, f = 1, 2
+        while e > 1:
+            if e % f == 0:
+                e //= f
+                if e % f == 0:
+                    return 0
+                out = -out
+            f += 1
+        return out
+
+    return sum(mobius(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+
+
+@pytest.mark.parametrize(
+    "p, counts", [(2, [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]), (3, [3, 3, 8, 18, 48])]
+)
+def test_irreducible_counts_follow_gauss(p, counts):
+    for d, expected in enumerate(counts, start=1):
+        found = sum(_is_irreducible(mod, p, d) for mod in range(p**d, 2 * p**d))
+        assert found == expected == _gauss_count(p, d), (p, d)
