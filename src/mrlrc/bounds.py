@@ -76,15 +76,15 @@ def q_lower_gopalan(p: MrParams) -> int:
 def _q_unconditional_raw(p: MrParams) -> int:
     """Field-size bound not relying on the MDS conjecture, before clamping.
 
-    r = 2: n - k - ceil(k/r) + 2.  r >= 3: n - k + 1 - max(j, 0) with
-    j = floor(-h/2) + g.  r = 1 has no rank-2 minor family; the best
-    available MDS length bound comes from the rank-k minor of size n - g.
+    The MDS length bound q >= n' - k' + 1 of a U_{n'}^{k'} minor: the
+    rank-2 minor (eq2 when r = 2, eq3 when r >= 3) or, for r = 1, which has
+    no rank-2 family, the rank-k minor of size n - g.
     """
     if p.r == 1:
-        return p.n - p.g - p.k + 1
+        return eq1_size(p) - p.k + 1
     if p.r == 2:
-        return p.n - p.k - _ceil_div(p.k, p.r) + 2
-    return p.n - p.k + 1 - max((-p.h) // 2 + p.g, 0)
+        return eq2_size(p) - 1
+    return eq3_size(p, 2) - 1
 
 
 def q_lower_unconditional(p: MrParams) -> int:

@@ -98,12 +98,15 @@ def is_mds_code(gm: GenMatrix) -> bool:
     if gm.n > _CODE_LIMIT:
         raise SizeRefusal(f"MDS check {_column_sets(gm.n, gm.k)}")
     m = LinearMatroid(gm)
-    if m.full_rank() != gm.k:
-        return False
     if 2 * gm.k > gm.n:
-        # an [n, n] code's dual has no rows: its one 0-column set has rank 0
+        # one elimination: the rank of G is n minus the dimension of its kernel.
+        # An [n, n] code's dual has no rows: its one 0-column set has rank 0
         dual = nullspace(m._field, gm.rows)
+        if gm.n - len(dual) != gm.k:
+            return False
         m = LinearMatroid(GenMatrix(gm.field, gm.n, tuple(map(tuple, dual))))
+    elif m.full_rank() != gm.k:
+        return False
     d = m.gm.k
     return all(m.rank(x) == d for x in masks_of_size(m.ground, d))
 

@@ -1,23 +1,31 @@
 """Uniform minors of MR matroids: constructive witnesses and an exhaustive oracle.
 
 A witness is a (contract-flat F, delete-set X) pair together with the
-target rank k' and the size n' of the resulting minor.  Constructors build
-the witness for each of the four size formulas.  The oracle contracts each
-flat of the right rank (sufficient by the Scum theorem), taken from the
-generic closure scan `matroid.flats`, and then chooses arbitrary deletions.
-It uses none of the constructors and nothing of the closed-form
-`mr.mr_flats`, which stays the independent check of the scan.  The
-constructors do use the oracle: in the eq3 gap cases, where `_spread`
-finds no contract set (the minimal j overshoots), `witness_eq3` falls back
-to `oracle_max_uniform`, so there construction and oracle are one path,
-not two.
+target rank k' and the size n' of the resulting minor.  Every uniform minor
+in the paper's list contracts a flat F and deletes a set X, so one builder,
+`_witness`, makes all four families: each constructor picks F and passes
+its formula size, and the builder picks X, the size n - |F| - |X| and the
+boundary flag (built size != formula size), then verifies.  By the rank
+formula, the only circuits of size <= k' left after contracting F are the
+leftovers b - F of the repair sets b with |b - F| <= k'.  They are
+disjoint, so deleting the lowest member of each is the least deletion
+that leaves a uniform minor.
+
+The oracle contracts each flat of the right rank (sufficient by the Scum
+theorem), taken from the generic closure scan `matroid.flats`, and then
+chooses arbitrary deletions.  It uses none of the constructors and nothing
+of the closed-form `mr.mr_flats`, which stays the independent check of the
+scan.  The constructors do use the oracle: in the eq3 gap cases, where
+`_spread` finds no contract set (the minimal j overshoots), `witness_eq3`
+falls back to `oracle_max_uniform`, so there construction and oracle are
+one path, not two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bounds import eq2_size, eq3_size
+from .bounds import eq1_size, eq2_size, eq3_size, eq4_size
 from .errors import ParameterError, SizeRefusal
 from .matroid import (
     Matroid,
@@ -94,27 +102,26 @@ def verify_witness(m: Matroid, w: MinorWitness) -> bool:
     return is_uniform(view) == (w.claimed_size, w.target_rank)
 
 
-def _verified(m: Matroid, w: MinorWitness) -> MinorWitness:
+def _witness(m: MrMatroid, f: int, k_prime: int, formula_size: int) -> MinorWitness:
+    """Contract f, delete the lowest member of each leftover of size <= k', and verify."""
+    x = 0
+    for b in m.params.repair_sets:
+        rest = b & ~f
+        if popcount(rest) <= k_prime:
+            x |= rest & -rest
+    size = m.ground_size - popcount(f) - popcount(x)
+    w = MinorWitness(
+        f, x, k_prime, size, boundary_case=size != formula_size, formula_size=formula_size
+    )
     w = replace(w, verified=verify_witness(m, w))
     if not w.verified:
         raise RuntimeError(f"constructed witness failed verification: {w.to_line()}")
     return w
 
 
-def _transversal_witness(m: MrMatroid, f: int, k_prime: int) -> MinorWitness:
-    """Contract f and delete the lowest member of each repair set f leaves unfilled."""
-    p = m.params
-    x = 0
-    for b in p.repair_sets:
-        rest = b & ~f
-        x |= rest & -rest
-    size = p.n - p.g - p.k + k_prime
-    return _verified(m, MinorWitness(f, x, k_prime, size, formula_size=size))
-
-
 def witness_eq1(m: MrMatroid) -> MinorWitness:
-    """Delete one element per repair set: a U_{n-g}^{k} minor (witness_eq4's build at k' = k)."""
-    return _transversal_witness(m, 0, m.params.k)
+    """Delete one element per repair set: a U_{n-g}^{k} minor."""
+    return _witness(m, 0, m.params.k, eq1_size(m.params))
 
 
 def witness_eq2(m: MrMatroid) -> MinorWitness:
@@ -122,23 +129,16 @@ def witness_eq2(m: MrMatroid) -> MinorWitness:
 
     If r | k, contract k/r - 1 whole repair sets.  Otherwise contract
     floor(k/r) - 1 whole sets plus a partial block completing the rank to
-    k - r, and delete one leftover element of that block.
+    k - r; the builder deletes one leftover element of that block.
     """
     p = m.params
-    k, r = p.k, p.r
-    kr = k // r
-    f = x = 0
+    kr = p.k // p.r
+    f = 0
     for b in p.repair_sets[: kr - 1]:
         f |= b
-    if k % r:
-        block = p.repair_sets[kr - 1]
-        bpart = lowest_bits(block, k % r)
-        f |= bpart
-        rest = block & ~bpart
-        x = rest & -rest
-    size = eq2_size(p)
-    w = MinorWitness(f, x, r, size, formula_size=size)
-    return _verified(m, w)
+    if p.k % p.r:
+        f |= lowest_bits(p.repair_sets[kr - 1], p.k % p.r)
+    return _witness(m, f, p.r, eq2_size(p))
 
 
 def _spread(p, need_total: int, cap: int) -> int | None:
@@ -183,13 +183,7 @@ def witness_eq3(m: MrMatroid, k_prime: int) -> MinorWitness:
     f = _spread(p, p.k - k_prime, p.r - k_prime)
     if f is None:
         return _bounded_search_fallback(m, k_prime, formula_size)
-    size = p.n - popcount(f)
-    w = MinorWitness(
-        f, 0, k_prime, size,
-        boundary_case=size != formula_size,
-        formula_size=formula_size,
-    )
-    return _verified(m, w)
+    return _witness(m, f, k_prime, formula_size)
 
 
 def _bounded_search_fallback(m: MrMatroid, k_prime: int, formula_size: int) -> MinorWitness:
@@ -205,18 +199,17 @@ def _bounded_search_fallback(m: MrMatroid, k_prime: int, formula_size: int) -> M
 def witness_eq4(m: MrMatroid, k_prime: int) -> MinorWitness:
     """Rank-k' uniform minor for r < k' < k, of size n - g - k + k'.
 
-    Delete one element per repair set, then contract a (k-k')-set that is
-    independent and a flat (at most r-1 elements per block).  When the
-    spread capacity g*(r-1) is short, whole repair sets join the contract
-    side instead; the size formula is unchanged.
+    Contract a (k-k')-set that is independent and a flat (at most r-1
+    elements per block); the builder deletes one element of every repair
+    set left uncontracted or partly contracted.  When the spread capacity
+    g*(r-1) is short, whole repair sets join the contract side instead and
+    lose nothing to X; the size formula is unchanged.
     """
     p = m.params
     if not p.r < k_prime < p.k:
         raise ParameterError(f"rank target must satisfy r < k' < k, got k'={k_prime}")
-    f = _spread(p, p.k - k_prime, p.r - 1)
-    if f is None:
-        raise RuntimeError("no repair-set split reaches the required contraction rank")
-    return _transversal_witness(m, f, k_prime)
+    # _spread always fits: k - k' <= (g-1)r - 1, and the minimal j never overshoots
+    return _witness(m, _spread(p, p.k - k_prime, p.r - 1), k_prime, eq4_size(p, k_prime))
 
 
 def _small_circuits(view: Matroid, k_prime: int) -> list[int]:

@@ -5,6 +5,7 @@ import pytest
 
 from mrlrc.bounds import (
     SWEEP_HEADER,
+    _q_unconditional_raw,
     compute_bounds,
     eq1_size,
     eq2_size,
@@ -131,15 +132,18 @@ def test_q_unconditional_frozen_values():
 
 
 def test_q_unconditional_clamp_and_vacuous_flag():
-    for n, k, r in valid_param_triples(30):
+    # the raw value, read from the family sizes, equals the closed forms written out
+    for n, k, r in valid_param_triples(200):
         p = make_params(n, k, r)
+        raw = (
+            (p.n - p.g - p.k + 1) if r == 1
+            else (p.n - p.k - -(-p.k // 2) + 2) if r == 2
+            else (p.n - p.k + 1 - max((-p.h) // 2 + p.g, 0))
+        )
+        assert _q_unconditional_raw(p) == raw, (n, k, r)
         q = q_lower_unconditional(p)
-        assert q >= 2
-        assert q_unconditional_is_vacuous(p) == (q == 2 and (
-            (p.n - p.g - p.k + 1 < 2) if r == 1
-            else (p.n - p.k - -(-p.k // 2) + 2 < 2) if r == 2
-            else (p.n - p.k + 1 - max((-p.h) // 2 + p.g, 0) < 2)
-        ))
+        assert q == max(raw, 2)
+        assert q_unconditional_is_vacuous(p) == (raw < 2)
 
 
 def test_q_conjectural():

@@ -338,7 +338,8 @@ def _recording(log):
 
 def test_checks_match_combination_loops(monkeypatch):
     # same verdicts, and the same column submatrices ranked in the same order,
-    # except where is_mds_code ranks the dual's (n-k)-column sets (full rank, 2k > n)
+    # except where is_mds_code takes the dual (2k > n): there one elimination
+    # of G gives its rank and its kernel, so only (n-k)-column sets are ranked
     lib, ref = [], []
     monkeypatch.setattr(codes, "mat_rank", _recording(lib))
     rng = random.Random(13)
@@ -351,13 +352,15 @@ def test_checks_match_combination_loops(monkeypatch):
             ref.clear()
             verdict = is_mds_code(gm)
             assert verdict == _mds_by_combinations(gm, _recording(ref))
-            if 2 * gm.k <= gm.n or mat_rank(Field(spec), gm.rows) < gm.k:
+            if 2 * gm.k <= gm.n:
                 assert lib == ref
+            elif mat_rank(Field(spec), gm.rows) < gm.k:
+                assert lib == []
             else:
                 d = gm.n - gm.k
-                assert lib[0] == ref[0]
-                assert all(len(rows) == d and all(len(row) == d for row in rows) for rows in lib[1:])
-                assert len(lib) - 1 <= comb(gm.n, d)
+                assert all(len(rows) != gm.k for rows in lib)  # no k x n full-rank call
+                assert all(len(rows) == d and all(len(row) == d for row in rows) for rows in lib)
+                assert len(lib) <= comb(gm.n, d)
             mds.add(verdict)
     for params, text in (("8,4,3", "13"), ("8,4,3:0,2,5,7;1,3,4,6", "2^4"), ("9,4,2", "3^2")):
         p, spec = parse_params(params), parse_field(text)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mrlrc.errors import ParameterError, SizeRefusal
@@ -13,6 +15,7 @@ from mrlrc.minors import (
     witness_eq4,
     _max_circuit_free,
     _small_circuits,
+    _spread,
 )
 from mrlrc.mr import make_mr, valid_param_triples
 from mrlrc.bounds import (
@@ -107,6 +110,9 @@ def test_eq4_witness():
         assert w.verified
         assert w.target_rank == kp
         assert w.claimed_size == eq4_size(m.params, kp)
+    # F holds blocks 0 and 1 whole and one element of each of blocks 2-4; X hits blocks 2-4 only
+    w = witness_eq4(make_mr(15, 10, 2), 3)
+    assert w.to_line() == "F=0,1,2,3,4,5,6,9,12; X=7,10,13; k'=3; n'=3; verified=true; boundary=false"
 
 
 def test_eq4_rejects_bad_rank():
@@ -132,6 +138,35 @@ def test_all_witnesses_all_small_params():
                 assert w.claimed_size >= eq3_size(p, kp)
         for kp in eq4_range(p):
             assert witness_eq4(m, kp).verified
+
+
+def test_witness_lines_pinned():
+    # every constructed witness (F, X, k', n', flags, formula size) for n <= 22,
+    # eq3 gap cases (oracle fallback) left out; the digest was recorded from the
+    # per-family builds that the shared builder replaced
+    digest = hashlib.sha256()
+    count = 0
+    for n, k, r in valid_param_triples(22):
+        m = make_mr(n, k, r)
+        p = m.params
+        ws = [witness_eq1(m), witness_eq2(m)]
+        ws += [witness_eq3(m, kp) for kp in eq3_range(p) if _spread(p, k - kp, r - kp) is not None]
+        ws += [witness_eq4(m, kp) for kp in eq4_range(p)]
+        for w in ws:
+            digest.update(f"{n},{k},{r} {w.to_line()} {w.formula_size}\n".encode())
+            count += 1
+    assert count == 1608
+    assert digest.hexdigest() == "70b7a46d89c33e9b668b770d7f8e10d7f23738bc9956b29e0f03db6ff21dcee5"
+
+
+def test_eq4_spread_always_fits():
+    # k - k' <= (g-1)r - 1, so a whole-set count fits and the minimal one never overshoots
+    for n, k, r in valid_param_triples(64):
+        m = make_mr(n, k, r)
+        for kp in eq4_range(m.params):
+            f = _spread(m.params, k - kp, r - 1)
+            assert f is not None, (n, k, r, kp)
+            assert m.rank(f) == k - kp, (n, k, r, kp)
 
 
 def test_verify_witness_rejects_tampering():
