@@ -12,8 +12,8 @@ from fractions import Fraction
 from .errors import ParameterError, SizeRefusal
 from .mr import MrParams, make_params
 
-# Row cost grows with n: sweep(3, 1, 2, n_max) took 0.4 s at 2000 and 10.5 s at
-# 10000 on a 2-CPU x86-64 VM.
+# A sweep prints one row per valid n, so its output grows with n_max: at most
+# 1,000 rows here (sweep(3, 1, 2, 2000) takes 0.03 s on a 2-CPU x86-64 VM).
 _SWEEP_N_LIMIT = 2000
 
 
@@ -33,7 +33,7 @@ def eq2_size(p: MrParams) -> int:
 
 def eq3_size(p: MrParams, k_prime: int) -> int:
     """Formula size of the rank-k' minor, 2 <= k' <= r-1."""
-    if not 2 <= k_prime <= p.r - 1:
+    if k_prime not in eq3_range(p):
         raise ParameterError(f"need 2 <= k' <= r-1, got k'={k_prime}, r={p.r}")
     j = (-p.h) // k_prime + p.g
     return p.n - p.k + k_prime - max(j, 0)
@@ -41,7 +41,7 @@ def eq3_size(p: MrParams, k_prime: int) -> int:
 
 def eq4_size(p: MrParams, k_prime: int) -> int:
     """Formula size of the rank-k' minor, r < k' < k."""
-    if not p.r < k_prime < p.k:
+    if k_prime not in eq4_range(p):
         raise ParameterError(f"need r < k' < k, got k'={k_prime}")
     return p.n - p.g - p.k + k_prime
 

@@ -58,10 +58,6 @@ def _undigits(ds, p: int) -> int:
     return x
 
 
-def _poly_deg(x: int, p: int) -> int:
-    return len(_digits(x, p)) - 1
-
-
 def _poly_mul(a: int, b: int, p: int) -> int:
     da, db = _digits(a, p), _digits(b, p)
     if not da or not db:
@@ -113,12 +109,14 @@ class FieldSpec:
     modulus: int | None = None
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ParameterError(f"characteristic must be prime, got {self.p}")
         if self.m < 1:
             raise ParameterError(f"extension degree must be positive, got {self.m}")
-        if self.p**self.m > MAX_Q:
+        # p <= 2^16 and m <= 16 follow from p^m <= 2^16; checked first, they keep
+        # p**m and the primality test small
+        if self.p > MAX_Q or self.m > 16 or self.p**self.m > MAX_Q:
             raise ParameterError(f"field size {self.p}^{self.m} exceeds 2^16")
+        if not is_prime(self.p):
+            raise ParameterError(f"characteristic must be prime, got {self.p}")
         if self.m == 1:
             if self.modulus is not None:
                 raise ParameterError("prime fields take no modulus")
@@ -131,10 +129,9 @@ class FieldSpec:
                     f"no built-in modulus for GF({self.p}^{self.m}); supply one explicitly"
                 )
             object.__setattr__(self, "modulus", mod)
-        if _poly_deg(mod, self.p) != self.m:
-            raise ParameterError(f"modulus {mod} does not have degree {self.m} over GF({self.p})")
-        if _digits(mod, self.p)[-1] != 1:
-            raise ParameterError(f"modulus {mod} must be monic")
+        # monic of degree m: leading digit 1 at p^m, lower digits below p^m
+        if not self.q <= mod < 2 * self.q:
+            raise ParameterError(f"modulus {mod} is not monic of degree {self.m} over GF({self.p})")
         if not _is_irreducible(mod, self.p, self.m):
             raise ParameterError(f"modulus {mod} is reducible over GF({self.p})")
 

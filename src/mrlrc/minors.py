@@ -17,8 +17,9 @@ chooses arbitrary deletions.  It uses none of the constructors and nothing
 of the closed-form `mr.mr_flats`, which stays the independent check of the
 scan.  The constructors do use the oracle: in the eq3 gap cases, where
 `_spread` finds no contract set (the minimal j overshoots), `witness_eq3`
-falls back to `oracle_max_uniform`, so there construction and oracle are
-one path, not two.
+takes F from `oracle_max_uniform`'s best witness.  The builder still picks
+X, the size and the flag there, but construction and oracle share F, so
+they are one path, not two.
 """
 
 from __future__ import annotations
@@ -110,13 +111,15 @@ def _witness(m: MrMatroid, f: int, k_prime: int, formula_size: int) -> MinorWitn
         if popcount(rest) <= k_prime:
             x |= rest & -rest
     size = m.ground_size - popcount(f) - popcount(x)
-    w = MinorWitness(
-        f, x, k_prime, size, boundary_case=size != formula_size, formula_size=formula_size
-    )
-    w = replace(w, verified=verify_witness(m, w))
-    if not w.verified:
-        raise RuntimeError(f"constructed witness failed verification: {w.to_line()}")
-    return w
+    w = MinorWitness(f, x, k_prime, size, boundary_case=size != formula_size, formula_size=formula_size)
+    return _verified(m, w)
+
+
+def _verified(m: Matroid, w: MinorWitness) -> MinorWitness:
+    """w marked verified; a RuntimeError if it fails, since every caller builds a uniform minor."""
+    if not verify_witness(m, w):
+        raise RuntimeError(f"witness failed verification: {w.to_line()}")
+    return replace(w, verified=True)
 
 
 def witness_eq1(m: MrMatroid) -> MinorWitness:
@@ -174,26 +177,19 @@ def witness_eq3(m: MrMatroid, k_prime: int) -> MinorWitness:
     remaining block) plus that spread.  When the strict-inequality j of
     the closed formula exceeds this minimal j (exact-fit boundary), the
     verified minor is larger than the formula value and the witness is
-    flagged as a boundary case.
+    flagged as a boundary case.  In the gap cases, where the minimal j
+    overshoots, the oracle's best witness supplies F alone; the builder
+    does the rest, as for every family.
     """
     p = m.params
-    if not 2 <= k_prime <= p.r - 1:
-        raise ParameterError(f"rank target must satisfy 2 <= k' <= r-1, got k'={k_prime}, r={p.r}")
     formula_size = eq3_size(p, k_prime)
     f = _spread(p, p.k - k_prime, p.r - k_prime)
     if f is None:
-        return _bounded_search_fallback(m, k_prime, formula_size)
+        _, best = oracle_max_uniform(m, k_prime)
+        if best is None:
+            raise RuntimeError(f"the oracle found no rank-{k_prime} uniform minor to take F from")
+        f = best.contract_flat
     return _witness(m, f, k_prime, formula_size)
-
-
-def _bounded_search_fallback(m: MrMatroid, k_prime: int, formula_size: int) -> MinorWitness:
-    # only reachable if the constructive build is inapplicable; Scum-compliant search
-    size, w = oracle_max_uniform(m, k_prime)
-    if size < formula_size:
-        raise RuntimeError(
-            f"no uniform minor of the formula size {formula_size} found for k'={k_prime}"
-        )
-    return replace(w, boundary_case=True, formula_size=formula_size)
 
 
 def witness_eq4(m: MrMatroid, k_prime: int) -> MinorWitness:
@@ -206,10 +202,9 @@ def witness_eq4(m: MrMatroid, k_prime: int) -> MinorWitness:
     lose nothing to X; the size formula is unchanged.
     """
     p = m.params
-    if not p.r < k_prime < p.k:
-        raise ParameterError(f"rank target must satisfy r < k' < k, got k'={k_prime}")
+    formula_size = eq4_size(p, k_prime)
     # _spread always fits: k - k' <= (g-1)r - 1, and the minimal j never overshoots
-    return _witness(m, _spread(p, p.k - k_prime, p.r - 1), k_prime, eq4_size(p, k_prime))
+    return _witness(m, _spread(p, p.k - k_prime, p.r - 1), k_prime, formula_size)
 
 
 def _small_circuits(view: Matroid, k_prime: int) -> list[int]:
@@ -227,14 +222,10 @@ def _small_circuits(view: Matroid, k_prime: int) -> list[int]:
 def _max_circuit_free(ground: int, circuits: list[int]) -> int:
     """Largest submask of ground containing no circuit (branch and bound)."""
     best = [0, 0]
-    seen = set()
 
     def rec(cur: int) -> None:
         if popcount(cur) <= best[0]:
             return
-        if cur in seen:
-            return
-        seen.add(cur)
         for c in circuits:
             if c & cur == c:
                 for e in bits_of(c):
@@ -276,10 +267,8 @@ def oracle_max_uniform(m: Matroid, k_prime: int) -> tuple[int, MinorWitness | No
         size = popcount(keep)
         if size < k_prime or size <= best_size:
             continue
-        w = MinorWitness(f, ground & ~keep, k_prime, size, verified=True)
-        if verify_witness(m, w):
-            best_size = size
-            best = w
+        best = _verified(m, MinorWitness(f, ground & ~keep, k_prime, size))
+        best_size = size
     return best_size, best
 
 

@@ -9,6 +9,7 @@ truncation at k of the direct sum of the per-repair-set uniform ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
@@ -30,12 +31,17 @@ _MR_FLATS_LIMIT = 24
 
 @dataclass(frozen=True)
 class MrParams:
-    """Validated (n, k, r) with the repair-set partition (as masks)."""
+    """Validated (n, k, r) with an explicit repair-set partition, None when contiguous."""
 
     n: int
     k: int
     r: int
-    repair_sets: tuple[int, ...]
+    partition: tuple[int, ...] | None = None
+
+    @cached_property
+    def repair_sets(self) -> tuple[int, ...]:
+        """The repair sets as masks; the contiguous ones are built on first read."""
+        return self.partition or _contiguous_partition(self.n, self.r)
 
     @property
     def g(self) -> int:
@@ -47,8 +53,8 @@ class MrParams:
 
     def to_text(self) -> str:
         base = f"{self.n},{self.k},{self.r}"
-        if self.repair_sets != _contiguous_partition(self.n, self.r):
-            base += ":" + ";".join(format_indices(b) for b in self.repair_sets)
+        if self.partition is not None:
+            base += ":" + ";".join(format_indices(b) for b in self.partition)
         return base
 
 
@@ -70,23 +76,22 @@ def make_params(n: int, k: int, r: int, partition=None) -> MrParams:
     if k > g * r:
         raise ParameterError(f"dimension too large: need k <= g*r = {g * r}, got k={k}")
     if partition is None:
-        blocks = _contiguous_partition(n, r)
-    else:
-        blocks = tuple(int(b) for b in partition)
-        if len(blocks) != g:
-            raise ParameterError(f"malformed partition: expected {g} repair sets, got {len(blocks)}")
-        union = 0
-        for b in blocks:
-            if popcount(b) != r + 1:
-                raise ParameterError(
-                    f"malformed partition: repair set {format_indices(b)} has size {popcount(b)}, expected {r + 1}"
-                )
-            if union & b:
-                raise ParameterError("malformed partition: repair sets overlap")
-            union |= b
-        if union != full_mask(n):
-            raise ParameterError("malformed partition: repair sets do not cover the ground set")
-    return MrParams(n, k, r, blocks)
+        return MrParams(n, k, r)
+    blocks = tuple(int(b) for b in partition)
+    if len(blocks) != g:
+        raise ParameterError(f"malformed partition: expected {g} repair sets, got {len(blocks)}")
+    union = 0
+    for b in blocks:
+        if popcount(b) != r + 1:
+            raise ParameterError(
+                f"malformed partition: repair set {format_indices(b)} has size {popcount(b)}, expected {r + 1}"
+            )
+        if union & b:
+            raise ParameterError("malformed partition: repair sets overlap")
+        union |= b
+    if union != full_mask(n):
+        raise ParameterError("malformed partition: repair sets do not cover the ground set")
+    return MrParams(n, k, r, None if blocks == _contiguous_partition(n, r) else blocks)
 
 
 def parse_params(text: str) -> MrParams:

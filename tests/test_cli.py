@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -289,3 +290,53 @@ def test_formula_and_code_commands_never_import_numpy(tmp_path):
     assert got["numpy_before"] is False
     assert got["axioms"] == 0
     assert got["numpy_after"] is True
+
+
+_TIMED_RUNS = """
+import json, sys, time
+from mrlrc.cli import main
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    t0 = time.perf_counter()
+    code = main(argv)
+    out.append([code, time.perf_counter() - t0])
+print(json.dumps(out))
+"""
+
+
+def _timed_runs(runs):
+    """[exit code, seconds] of each argv, run in one child capped at 2 GiB of address space."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(mrlrc.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_RUNS, json.dumps(runs)],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_huge_field_specs_are_refused_at_once(tmp_path):
+    # each is refused before work that grows with the number: trial division up
+    # to sqrt(p), computing p^m, or splitting a negative modulus into base-p digits
+    specs = ["1000000000000000003", "2^99999999999", "2^4:-19", "3^2:-10"]
+    runs = [["code", "search", "8,4,3", "--field", s, "--seed", "1"] for s in specs]
+    for i, head in enumerate(["field 1000000000000000003", "field 2^99999999999",
+                              "field 2^4 modulus=-19", "field 3^2 modulus=-10"]):
+        mat = tmp_path / f"m{i}.txt"
+        mat.write_text(f"{head}\n1 4\n1 2 3 0\n")
+        runs.append(["code", "check", str(mat)])
+    got = _timed_runs(runs)
+    assert [code for code, _ in got] == [3] * 4 + [2] * 4
+    assert all(seconds < 1 for _, seconds in got), got
+
+
+def test_huge_n_answers_bounds_without_building_repair_sets():
+    # bounds read n, k and r only; the 200,000 masks of n = 400,000 would take about 5 GB
+    got = _timed_runs([["bounds", "400000,5,1"], ["bounds", "1000000,5,1"], ["axioms", "1000000,5,1"]])
+    assert [code for code, _ in got] == [0, 0, 3]

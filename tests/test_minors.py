@@ -1,7 +1,9 @@
 import hashlib
+import random
 
 import pytest
 
+from mrlrc import minors
 from mrlrc.errors import ParameterError, SizeRefusal
 from mrlrc.matroid import contract, is_uniform, minor, restrict
 from mrlrc.minors import (
@@ -27,7 +29,7 @@ from mrlrc.bounds import (
     eq4_size,
     largest_uniform_size,
 )
-from mrlrc.subsets import popcount, submasks
+from mrlrc.subsets import mask_of, popcount, submasks
 
 
 def test_witness_line_roundtrip():
@@ -103,6 +105,37 @@ def test_eq3_rejects_bad_rank():
         witness_eq3(m, 3)  # k' must stay below r
 
 
+def test_eq3_gap_witnesses_take_only_f_from_the_oracle(monkeypatch):
+    # where the minimal j overshoots, F is the oracle's best flat and the builder
+    # does the rest: the oracle's X and n', which meet the closed form, so no flag
+    oracle_bests = []
+
+    def spy(m, k_prime):
+        size, best = oracle_max_uniform(m, k_prime)
+        oracle_bests.append(best)
+        return size, best
+
+    monkeypatch.setattr(minors, "oracle_max_uniform", spy)
+    cases = 0
+    for n, k, r in valid_param_triples(15):
+        perm = list(range(n))
+        random.Random(f"{n},{k},{r}").shuffle(perm)
+        seeded = [mask_of(perm[i : i + r + 1]) for i in range(0, n, r + 1)]
+        for m in (make_mr(n, k, r), make_mr(n, k, r, seeded)):
+            p = m.params
+            for kp in eq3_range(p):
+                if _spread(p, k - kp, r - kp) is not None:
+                    continue
+                w = witness_eq3(m, kp)
+                best = oracle_bests.pop()
+                assert w.contract_flat == best.contract_flat, (n, k, r, kp)
+                assert (w.delete_set, w.claimed_size) == (best.delete_set, best.claimed_size)
+                assert not w.boundary_case, (n, k, r, kp)
+                assert w.formula_size == eq3_size(p, kp) == w.claimed_size
+                cases += 1
+    assert cases == 16 and not oracle_bests
+
+
 def test_eq4_witness():
     m = make_mr(12, 7, 3)
     for kp in eq4_range(m.params):
@@ -142,7 +175,7 @@ def test_all_witnesses_all_small_params():
 
 def test_witness_lines_pinned():
     # every constructed witness (F, X, k', n', flags, formula size) for n <= 22,
-    # eq3 gap cases (oracle fallback) left out; the digest was recorded from the
+    # eq3 gap cases (F from the oracle) left out; the digest was recorded from the
     # per-family builds that the shared builder replaced
     digest = hashlib.sha256()
     count = 0
