@@ -220,6 +220,17 @@ def test_verify_witness_rejects_tampering():
     assert not verify_witness(m, bad)
 
 
+def test_a_witness_that_fails_verification_is_an_error(monkeypatch):
+    # builder and oracle alike: a circuit-free keep set of size >= k' is uniform,
+    # so a failure is a bug, never a candidate to skip
+    monkeypatch.setattr(minors, "verify_witness", lambda m, w: False)
+    m = make_mr(8, 4, 3)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        witness_eq1(m)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        oracle_max_uniform(m, 2)
+
+
 def test_oracle_matches_theorem_8_4_3():
     m = make_mr(8, 4, 3)
     table = oracle_max_uniform_all(m)
