@@ -97,20 +97,6 @@ def q_unconditional_is_vacuous(p: MrParams) -> bool:
     return _q_unconditional_raw(p) < 2
 
 
-def achieving_ranks(p: MrParams) -> list[int]:
-    """Ranks k' whose formula size attains largest_uniform_size, ascending."""
-    best = largest_uniform_size(p)
-    ranks = set()
-    if eq1_size(p) == best:
-        ranks.add(p.k)
-    if eq2_size(p) == best:
-        ranks.add(p.r)
-    for kp in eq3_range(p):
-        if eq3_size(p, kp) == best:
-            ranks.add(kp)
-    return sorted(ranks)
-
-
 @dataclass(frozen=True)
 class ConjecturalBound:
     """MDS-conjecture-based bound: n' - 1, with the even-q exceptional cases flagged."""
@@ -119,7 +105,6 @@ class ConjecturalBound:
     safe_value: int
     exception_possible: bool
     achiever_ranks: tuple[int, ...]
-    vacuous: bool
 
 
 def q_lower_conjectural(p: MrParams) -> ConjecturalBound:
@@ -130,17 +115,7 @@ def q_lower_conjectural(p: MrParams) -> ConjecturalBound:
     the optimistic n'-1 and the safe n'-2, with a flag whenever some
     achieving rank could hit an exceptional case.
     """
-    best = largest_uniform_size(p)
-    ranks = tuple(achieving_ranks(p))
-    # exceptional dimensions for q = best - 1: dimension 3, or dimension q - 1
-    exc = any(kp == 3 or kp == best - 2 for kp in ranks)
-    return ConjecturalBound(
-        value=max(best - 1, 2),
-        safe_value=max(best - 2, 2),
-        exception_possible=exc,
-        achiever_ranks=ranks,
-        vacuous=best - 1 < 2,
-    )
+    return compute_bounds(p).q_conjectural
 
 
 def gopi_alpha(p: MrParams) -> Fraction | None:
@@ -173,7 +148,6 @@ class ThresholdReport:
     q_unconditional: int
     q_gopalan: int
     improves: bool
-    predicted_improves: bool
     consistent: bool
     near_boundary: bool
 
@@ -191,15 +165,13 @@ def threshold_report(p: MrParams) -> ThresholdReport:
     qu = q_lower_unconditional(p)
     qg = q_lower_gopalan(p)
     improves = qu > qg
-    predicted = rate <= thr
     return ThresholdReport(
         rate=rate,
         threshold=thr,
         q_unconditional=qu,
         q_gopalan=qg,
         improves=improves,
-        predicted_improves=predicted,
-        consistent=improves == predicted,
+        consistent=improves == (rate <= thr),
         near_boundary=rate == thr or p.r == 1,
     )
 
@@ -248,26 +220,46 @@ class BoundsReport:
         ]
         return "\n".join(lines)
 
+    def to_csv(self) -> str:
+        """The sweep row under SWEEP_HEADER; its eq3 columns are the largest
+        rank-k' size of 2 <= k' <= r-1 and the smallest k' attaining it."""
+        p = self.params
+        e3 = self.eq3_sizes
+        kp = max(e3, key=lambda j: (e3[j], -j), default=None)
+        cols = (
+            p.n, p.g, p.h, self.eq1_size, self.eq2_size, "" if kp is None else kp, e3.get(kp, ""),
+            self.largest_uniform, self.q_unconditional, self.q_conjectural.value, self.q_gopalan,
+        )
+        return ",".join(map(str, cols))
+
 
 def compute_bounds(p: MrParams) -> BoundsReport:
+    eq1, eq2 = eq1_size(p), eq2_size(p)
     eq3s = {kp: eq3_size(p, kp) for kp in eq3_range(p)}
     eq4s = {kp: eq4_size(p, kp) for kp in eq4_range(p)}
     best = largest_uniform_size(p)
-    candidates = [eq1_size(p), eq2_size(p), *eq3s.values()]
-    if best != max(candidates):
+    by_rank = {p.k: eq1, p.r: eq2, **eq3s}
+    if best != max(by_rank.values()):
         raise RuntimeError(
-            f"theorem consistency violated for {p.to_text()}: {best} vs {max(candidates)}"
+            f"theorem consistency violated for {p.to_text()}: {best} vs {max(by_rank.values())}"
         )
+    ranks = tuple(kp for kp in sorted(by_rank) if by_rank[kp] == best)
     return BoundsReport(
         params=p,
-        eq1_size=eq1_size(p),
-        eq2_size=eq2_size(p),
+        eq1_size=eq1,
+        eq2_size=eq2,
         eq3_sizes=eq3s,
         eq4_sizes=eq4s,
         largest_uniform=best,
         q_unconditional=q_lower_unconditional(p),
         q_unconditional_vacuous=q_unconditional_is_vacuous(p),
-        q_conjectural=q_lower_conjectural(p),
+        q_conjectural=ConjecturalBound(
+            value=max(best - 1, 2),
+            safe_value=max(best - 2, 2),
+            # exceptional dimensions for q = best - 1: dimension 3, or dimension q - 1
+            exception_possible=any(kp == 3 or kp == best - 2 for kp in ranks),
+            achiever_ranks=ranks,
+        ),
         q_gopalan=q_lower_gopalan(p),
         gopi_alpha=gopi_alpha(p),
     )
@@ -276,31 +268,8 @@ def compute_bounds(p: MrParams) -> BoundsReport:
 SWEEP_HEADER = "n,g,h,eq1,eq2,eq3_kprime,eq3,thm,q_uncond,q_conj,q_gopalan"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    g: int
-    h: int
-    eq1: int
-    eq2: int
-    eq3_kprime: int | None
-    eq3: int | None
-    thm: int
-    q_uncond: int
-    q_conj: int
-    q_gopalan: int
-
-    def to_csv(self) -> str:
-        kp = "" if self.eq3_kprime is None else str(self.eq3_kprime)
-        e3 = "" if self.eq3 is None else str(self.eq3)
-        return (
-            f"{self.n},{self.g},{self.h},{self.eq1},{self.eq2},{kp},{e3},"
-            f"{self.thm},{self.q_uncond},{self.q_conj},{self.q_gopalan}"
-        )
-
-
-def sweep(k: int, r: int, n_min: int, n_max: int) -> list[SweepRow]:
-    """One row per valid n in [n_min, n_max] for fixed k and r.
+def sweep(k: int, r: int, n_min: int, n_max: int) -> list[BoundsReport]:
+    """The report of each valid n in [n_min, n_max] for fixed k and r.
 
     A range with no valid n (k <= r, or n_min > n_max) is a ParameterError,
     so a sweep that returns always has rows.
@@ -311,31 +280,11 @@ def sweep(k: int, r: int, n_min: int, n_max: int) -> list[SweepRow]:
         raise SizeRefusal(
             f"sweep computes the bounds of every n up to n_max={n_max}; limit is n_max <= {_SWEEP_N_LIMIT}"
         )
-    rows = []
-    for n in range(n_min, n_max + 1):
-        if n % (r + 1) != 0:
-            continue
-        g = n // (r + 1)
-        if not (r < k <= g * r):
-            continue
-        p = make_params(n, k, r)
-        rep = compute_bounds(p)
-        if rep.eq3_sizes:
-            best_kp = max(rep.eq3_sizes, key=lambda kp: (rep.eq3_sizes[kp], -kp))
-            e3_kp, e3 = best_kp, rep.eq3_sizes[best_kp]
-        else:
-            e3_kp, e3 = None, None
-        rows.append(
-            SweepRow(
-                n=n, g=g, h=p.h,
-                eq1=rep.eq1_size, eq2=rep.eq2_size,
-                eq3_kprime=e3_kp, eq3=e3,
-                thm=rep.largest_uniform,
-                q_uncond=rep.q_unconditional,
-                q_conj=rep.q_conjectural.value,
-                q_gopalan=rep.q_gopalan,
-            )
-        )
+    rows = [
+        compute_bounds(make_params(n, k, r))
+        for n in range(n_min, n_max + 1)
+        if n % (r + 1) == 0 and r < k <= n // (r + 1) * r
+    ]
     if not rows:
         raise ParameterError(f"no n in [{n_min}, {n_max}] gives a valid (n, {k}, {r}) triple")
     return rows

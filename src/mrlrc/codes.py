@@ -32,7 +32,10 @@ from .matroid import Matroid
 from .mr import MrParams
 from .subsets import bits_of, full_mask, masks_of_size
 
-_CODE_LIMIT = 24
+# The most rank calls one `is_mds_code` or `is_mr_lrc` call, or one search
+# trial, may make.  The [18,9] MDS check ranks C(18,9) = 48,620 9x9 matrices
+# in ~30 s over GF(257) or GF(2^8) (2-CPU x86-64 VM).
+_CODE_LIMIT = 1 << 16
 # A refusal counts the certificate's checks only when that takes at most this many steps.
 _COUNT_STEPS = 10**5
 
@@ -84,8 +87,12 @@ def code_to_matroid(gm: GenMatrix) -> LinearMatroid:
     return LinearMatroid(gm)
 
 
-def _column_sets(n: int, k: int) -> str:
-    return f"would rank C({n},{k}) = {comb(n, k)} column sets; limit is n <= {_CODE_LIMIT}"
+def _refuse_column_sets(check: str, n: int, d: int) -> None:
+    """SizeRefusal when the check would rank more than _CODE_LIMIT d-column sets of n."""
+    if comb(n, d) > _CODE_LIMIT:
+        raise SizeRefusal(
+            f"{check} would rank C({n},{d}) = {comb(n, d)} column sets; limit is {_CODE_LIMIT} rank calls"
+        )
 
 
 def is_mds_code(gm: GenMatrix) -> bool:
@@ -95,8 +102,8 @@ def is_mds_code(gm: GenMatrix) -> bool:
     so when 2k > n the check ranks the (n-k)-column sets of a parity-check
     matrix, nullspace(G), instead: as many sets, each min(k, n-k) wide.
     """
-    if gm.n > _CODE_LIMIT:
-        raise SizeRefusal(f"MDS check {_column_sets(gm.n, gm.k)}")
+    # d = min(k, n-k) is the side ranked below; with k > n no set is ranked
+    _refuse_column_sets("MDS check", gm.n, max(min(gm.k, gm.n - gm.k), 0))
     m = LinearMatroid(gm)
     if 2 * gm.k > gm.n:
         # one elimination: the rank of G is n minus the dimension of its kernel.
@@ -122,8 +129,7 @@ def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
         raise ParameterError(
             f"matrix is [{gm.n},{gm.k}], parameters ask for [{p.n},{p.k}]"
         )
-    if gm.n > _CODE_LIMIT:
-        raise SizeRefusal(f"MR check {_column_sets(p.n, p.k)}")
+    _refuse_column_sets("MR check", p.n, p.k)
     m = LinearMatroid(gm)
     return all(m.rank(b) <= p.r for b in p.repair_sets) and all(
         m.rank(x) == p.k
@@ -234,11 +240,11 @@ def search_mr_code(
     """
     if trials < 1:
         raise ParameterError(f"search needs at least one trial, got trials={trials}")
-    if p.n > _CODE_LIMIT:
-        checks = _certificate_checks(p)
+    checks = _certificate_checks(p)
+    if checks is None or checks > _CODE_LIMIT:
         raise SizeRefusal(
             f"MR search would rank {'uncounted' if checks is None else checks} "
-            f"{p.h}x{p.h} difference matrices per trial; limit is n <= {_CODE_LIMIT}"
+            f"{p.h}x{p.h} difference matrices per trial; limit is {_CODE_LIMIT} rank calls"
         )
     f = Field(field)
     for t in range(trials):

@@ -10,6 +10,8 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING
 
+from .errors import ParameterError
+
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
@@ -136,6 +138,7 @@ def format_indices(mask: int) -> str:
 
 
 def parse_indices(text: str) -> int:
+    """Mask of a comma-separated index list; each index is checked before its bit is built."""
     text = text.strip()
     if not text:
         return 0
@@ -143,6 +146,8 @@ def parse_indices(text: str) -> int:
     for i in indices:
         if i < 0:
             raise ValueError(f"negative index {i} in {text!r}")
+        if i >= MAX_GROUND:
+            raise ParameterError(f"index {i} in {text!r} is past the ground limit of {MAX_GROUND} elements")
     return mask_of(indices)
 
 

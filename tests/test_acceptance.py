@@ -120,13 +120,13 @@ def test_acceptance_4_oracle_linkage(capfd):
 
 def test_acceptance_5_sweep_rows(capfd):
     start = time.monotonic()
-    rows = {row.n: row for row in sweep(7, 3, 8, 60)}
+    rows = {row.params.n: row for row in sweep(7, 3, 8, 60)}
     elapsed = time.monotonic() - start
     r12, r40 = rows.get(12), rows.get(40)
-    ok = r12 is not None and (r12.eq1, r12.eq2, r12.eq3) == (9, 6, 5)
-    ok &= r40 is not None and (r40.eq1, r40.eq2, r40.eq3) == (30, 34, 35)
-    ok &= r12.thm == r12.eq1  # the rank-k family dominates at n = 12
-    ok &= r40.eq3 > r40.eq1  # the low-rank family dominates at n = 40
+    ok = r12 is not None and (r12.eq1_size, r12.eq2_size, max(r12.eq3_sizes.values())) == (9, 6, 5)
+    ok &= r40 is not None and (r40.eq1_size, r40.eq2_size, max(r40.eq3_sizes.values())) == (30, 34, 35)
+    ok &= r12.largest_uniform == r12.eq1_size  # the rank-k family dominates at n = 12
+    ok &= max(r40.eq3_sizes.values()) > r40.eq1_size  # the low-rank family dominates at n = 40
     ok &= elapsed < 1.0
     _report(capfd, 5, ok, f"{elapsed:.3f}s")
     assert ok

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 
@@ -222,16 +223,41 @@ def test_compute_bounds_report_text():
 
 def test_sweep_fig1_rows():
     rows = sweep(7, 3, 8, 60)
-    by_n = {row.n: row for row in rows}
-    assert by_n[12].eq1 == 9 and by_n[12].eq2 == 6 and by_n[12].eq3 == 5
-    assert by_n[40].eq1 == 30 and by_n[40].eq2 == 34 and by_n[40].eq3 == 35
-    assert by_n[12].thm == by_n[12].eq1  # rank-k family dominates at n = 12
-    assert by_n[40].eq3 > by_n[40].eq1  # low-rank family dominates at n = 40
-    assert rows[0].n == 12  # n = 8 is invalid for k = 7
+    by_n = {row.params.n: row for row in rows}
+    r12, r40 = by_n[12], by_n[40]
+    assert (r12.eq1_size, r12.eq2_size, max(r12.eq3_sizes.values())) == (9, 6, 5)
+    assert (r40.eq1_size, r40.eq2_size, max(r40.eq3_sizes.values())) == (30, 34, 35)
+    assert r12.largest_uniform == r12.eq1_size  # rank-k family dominates at n = 12
+    assert max(r40.eq3_sizes.values()) > r40.eq1_size  # low-rank family dominates at n = 40
+    assert rows[0].params.n == 12  # n = 8 is invalid for k = 7
     header_cols = SWEEP_HEADER.split(",")
     assert len(rows[0].to_csv().split(",")) == len(header_cols)
 
 
 def test_sweep_skips_invalid_n():
     rows = sweep(7, 3, 8, 60)
-    assert all(row.n % 4 == 0 and 7 <= row.n // 4 * 3 for row in rows)
+    assert all(row.params.n % 4 == 0 and 7 <= row.params.n // 4 * 3 for row in rows)
+
+
+def test_bounds_text_pinned():
+    # every report of a valid triple with n <= 100; recorded before sweep rows became reports
+    digest = hashlib.sha256()
+    count = 0
+    for n, k, r in valid_param_triples(100):
+        digest.update((compute_bounds(make_params(n, k, r)).to_text() + "\n").encode())
+        count += 1
+    assert count == 10763
+    assert digest.hexdigest() == "b4b8d496743e70e09969ced9feedb6f14f7624bbabf7f898ac4e9d70107dca11"
+
+
+def test_sweep_rows_pinned():
+    # every sweep row of r < k < 40, r <= 7, n <= 400; recorded with the pin above
+    digest = hashlib.sha256()
+    count = 0
+    for r in range(1, 8):
+        for k in range(r + 1, 40):
+            for row in sweep(k, r, r + 1, 400):
+                digest.update((row.to_csv() + "\n").encode())
+                count += 1
+    assert count == 22808
+    assert digest.hexdigest() == "3ddfa66005258e25731ad3fde17c6a5290aa0943f7f9ea385c3746d2e4012af0"

@@ -336,6 +336,38 @@ def test_huge_field_specs_are_refused_at_once(tmp_path):
     assert all(seconds < 1 for _, seconds in got), got
 
 
+def test_huge_indices_are_refused_at_once(tmp_path):
+    # an index past the 64-element ground limit is refused before its bit 1 << i is built
+    mat = tmp_path / "m.txt"
+    mat.write_text("field 13\n1 4\n1 2 3 0\n")
+    got = _timed_runs([
+        ["witness", "8,4,3", "--verify", "F=99999999999; X=; k'=2; n'=6"],
+        ["code", "shorten", str(mat), "--cols", "99999999999"],
+        ["bounds", "8,4,3:0,1,2,3;4,5,6,99999999999"],
+    ])
+    assert [code for code, _ in got] == [3, 3, 3]
+    assert all(seconds < 1 for _, seconds in got), got
+
+
+def test_wide_code_checks_are_refused_at_once(tmp_path, capsys):
+    # each would rank past the 2^16 limit: C(24,12) column sets, or per search trial
+    # 271,151 6x6 difference matrices; refused before the first rank
+    mat = tmp_path / "m.txt"
+    rows = [" ".join("1" if j % 12 == i else "0" for j in range(24)) for i in range(12)]
+    mat.write_text("field 257\n12 24\n" + "\n".join(rows) + "\n")
+    runs = [
+        ["code", "check", str(mat)],
+        ["code", "check", str(mat), "--mr", "24,12,3"],
+        ["code", "search", "24,12,3", "--field", "257", "--seed", "1"],
+    ]
+    got = _timed_runs(runs)
+    assert [code for code, _ in got] == [4, 4, 4]
+    assert all(seconds < 1 for _, seconds in got), got
+    counts = ["C(24,12) = 2704156 column sets"] * 2 + ["271151 6x6 difference matrices per trial"]
+    for argv, count in zip(runs, counts):
+        assert count in run(capsys, *argv)[2]
+
+
 def test_huge_n_answers_bounds_without_building_repair_sets():
     # bounds read n, k and r only; the 200,000 masks of n = 400,000 would take about 5 GB
     got = _timed_runs([["bounds", "400000,5,1"], ["bounds", "1000000,5,1"], ["axioms", "1000000,5,1"]])

@@ -61,18 +61,26 @@ def test_singleton_violation_is_not_mds():
 
 
 def test_mds_refusal():
-    gm = matrix_from_rows(FieldSpec(2), [[1] * 25])
+    # the limit counts column sets, not columns: a [25,1] code ranks 25 of them
+    assert is_mds_code(matrix_from_rows(FieldSpec(2), [[1] * 25]))
     with pytest.raises(SizeRefusal):
-        is_mds_code(gm)
+        is_mds_code(matrix_from_rows(FieldSpec(13), [[1] * 24 for _ in range(12)]))
+    # past the 64-element ground limit a matrix is still a typed error
+    with pytest.raises(ValueError, match="ground size"):
+        is_mds_code(matrix_from_rows(FieldSpec(2), [[1] * 65]))
 
 
 def test_refusals_state_the_work():
     # the refused count of column sets is named, C(30, 15) = 155117520
     gm = matrix_from_rows(FieldSpec(13), [[0] * 30 for _ in range(15)])
-    with pytest.raises(SizeRefusal, match=r"C\(30,15\) = 155117520 column sets; limit is n <= 24"):
+    with pytest.raises(SizeRefusal, match=r"C\(30,15\) = 155117520 column sets; limit is 65536 rank calls"):
         is_mds_code(gm)
-    with pytest.raises(SizeRefusal, match=r"C\(30,15\) = 155117520 column sets; limit is n <= 24"):
+    with pytest.raises(SizeRefusal, match=r"C\(30,15\) = 155117520 column sets; limit is 65536 rank calls"):
         is_mr_lrc(gm, make_params(30, 15, 4))
+    # a high-rate code is named by the dual side it would rank: C(40,10), not C(40,30)
+    gm = matrix_from_rows(FieldSpec(13), [[0] * 40 for _ in range(30)])
+    with pytest.raises(SizeRefusal, match=r"C\(40,10\) = 847660528 column sets"):
+        is_mds_code(gm)
 
 
 def test_search_finds_mr_code_and_matches_matroid():
@@ -175,7 +183,7 @@ def test_search_validates_up_front():
         with pytest.raises(ParameterError, match="at least one trial"):
             search_mr_code(p, FieldSpec(13), trials=trials, seed=1)
     # refused before any trial, with the certificate's per-trial work
-    with pytest.raises(SizeRefusal, match=r"51329100 9x9 difference matrices per trial; limit is n <= 24"):
+    with pytest.raises(SizeRefusal, match=r"51329100 9x9 difference matrices per trial; limit is 65536 rank calls"):
         search_mr_code(make_params(30, 15, 4), FieldSpec(13), trials=1, seed=1)
     # counting the checks would itself take g*h*r = 5*10^7 steps here, so they go uncounted
     with pytest.raises(SizeRefusal, match=r"uncounted 5000x5000 difference matrices"):
