@@ -115,7 +115,24 @@ def q_lower_conjectural(p: MrParams) -> ConjecturalBound:
     the optimistic n'-1 and the safe n'-2, with a flag whenever some
     achieving rank could hit an exceptional case.
     """
-    return compute_bounds(p).q_conjectural
+    return _conjectural(largest_uniform_size(p), _sizes_by_rank(p))
+
+
+def _sizes_by_rank(p: MrParams) -> dict[int, int]:
+    """Formula size of each family the theorem maximises over, by rank:
+    eq1 (rank k), eq2 (rank r) and eq3 (2 <= k' <= r-1)."""
+    return {p.k: eq1_size(p), p.r: eq2_size(p), **{kp: eq3_size(p, kp) for kp in eq3_range(p)}}
+
+
+def _conjectural(best: int, by_rank: dict[int, int]) -> ConjecturalBound:
+    ranks = tuple(kp for kp in sorted(by_rank) if by_rank[kp] == best)
+    return ConjecturalBound(
+        value=max(best - 1, 2),
+        safe_value=max(best - 2, 2),
+        # exceptional dimensions for q = best - 1: dimension 3, or dimension q - 1
+        exception_possible=any(kp == 3 or kp == best - 2 for kp in ranks),
+        achiever_ranks=ranks,
+    )
 
 
 def gopi_alpha(p: MrParams) -> Fraction | None:
@@ -234,32 +251,22 @@ class BoundsReport:
 
 
 def compute_bounds(p: MrParams) -> BoundsReport:
-    eq1, eq2 = eq1_size(p), eq2_size(p)
-    eq3s = {kp: eq3_size(p, kp) for kp in eq3_range(p)}
-    eq4s = {kp: eq4_size(p, kp) for kp in eq4_range(p)}
+    by_rank = _sizes_by_rank(p)
     best = largest_uniform_size(p)
-    by_rank = {p.k: eq1, p.r: eq2, **eq3s}
     if best != max(by_rank.values()):
         raise RuntimeError(
             f"theorem consistency violated for {p.to_text()}: {best} vs {max(by_rank.values())}"
         )
-    ranks = tuple(kp for kp in sorted(by_rank) if by_rank[kp] == best)
     return BoundsReport(
         params=p,
-        eq1_size=eq1,
-        eq2_size=eq2,
-        eq3_sizes=eq3s,
-        eq4_sizes=eq4s,
+        eq1_size=by_rank[p.k],
+        eq2_size=by_rank[p.r],
+        eq3_sizes={kp: by_rank[kp] for kp in eq3_range(p)},
+        eq4_sizes={kp: eq4_size(p, kp) for kp in eq4_range(p)},
         largest_uniform=best,
         q_unconditional=q_lower_unconditional(p),
         q_unconditional_vacuous=q_unconditional_is_vacuous(p),
-        q_conjectural=ConjecturalBound(
-            value=max(best - 1, 2),
-            safe_value=max(best - 2, 2),
-            # exceptional dimensions for q = best - 1: dimension 3, or dimension q - 1
-            exception_possible=any(kp == 3 or kp == best - 2 for kp in ranks),
-            achiever_ranks=ranks,
-        ),
+        q_conjectural=_conjectural(best, by_rank),
         q_gopalan=q_lower_gopalan(p),
         gopi_alpha=gopi_alpha(p),
     )

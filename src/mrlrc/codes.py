@@ -30,14 +30,14 @@ from .errors import ParameterError, SizeRefusal
 from .gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field
 from .matroid import Matroid
 from .mr import MrParams
-from .subsets import bits_of, full_mask, masks_of_size
+from .subsets import MAX_GROUND, bits_of, full_mask, masks_of_size
 
-# The most rank calls one `is_mds_code` or `is_mr_lrc` call, or one search
-# trial, may make.  The [18,9] MDS check ranks C(18,9) = 48,620 9x9 matrices
-# in ~30 s over GF(257) or GF(2^8) (2-CPU x86-64 VM).
-_CODE_LIMIT = 1 << 16
-# A refusal counts the certificate's checks only when that takes at most this many steps.
-_COUNT_STEPS = 10**5
+# The most elimination steps one `is_mds_code` or `is_mr_lrc` call, or one
+# search trial, may take, a d x d rank weighing d^3 steps.  A step takes
+# 1.1-1.6 us over GF(257) or GF(2^8) (2-CPU x86-64 VM), so an admitted check
+# answers within about a minute; the [18,9] MDS check, C(18,9) = 48,620 9x9
+# ranks or 35.4M steps (~40 s), is just past the limit.
+_CODE_LIMIT = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,14 @@ def code_to_matroid(gm: GenMatrix) -> LinearMatroid:
     return LinearMatroid(gm)
 
 
+def _refuse_ranks(work: str, count: int, d: int) -> None:
+    """SizeRefusal when `work`, `count` ranks of d x d matrices, passes _CODE_LIMIT steps."""
+    if count * d**3 > _CODE_LIMIT:
+        raise SizeRefusal(f"{work}: {count * d**3} steps at d^3 per {d}x{d} rank; limit is {_CODE_LIMIT}")
+
+
 def _refuse_column_sets(check: str, n: int, d: int) -> None:
-    """SizeRefusal when the check would rank more than _CODE_LIMIT d-column sets of n."""
-    if comb(n, d) > _CODE_LIMIT:
-        raise SizeRefusal(
-            f"{check} would rank C({n},{d}) = {comb(n, d)} column sets; limit is {_CODE_LIMIT} rank calls"
-        )
+    _refuse_ranks(f"{check} would rank C({n},{d}) = {comb(n, d)} column sets", comb(n, d), d)
 
 
 def is_mds_code(gm: GenMatrix) -> bool:
@@ -187,14 +189,11 @@ def _difference_sets(groups, r: int, budget: int):
                 yield pairs + tail
 
 
-def _certificate_checks(p: MrParams) -> int | None:
-    """How many h x h difference matrices the parity-side certificate ranks,
-    or None when counting them would take over _COUNT_STEPS steps."""
-    if p.g * p.h * p.r > _COUNT_STEPS:
-        return None
+def _certificate_checks(p: MrParams) -> int:
+    """How many h x h difference matrices the parity-side certificate ranks."""
     per_group = [1] + [comb(p.r + 1, e + 1) for e in range(1, p.r + 1)]
     counts = [1] + [0] * p.h
-    for _ in p.repair_sets:
+    for _ in range(p.g):
         counts = [
             sum(per_group[e] * counts[d - e] for e in range(min(d, p.r) + 1))
             for d in range(p.h + 1)
@@ -240,12 +239,11 @@ def search_mr_code(
     """
     if trials < 1:
         raise ParameterError(f"search needs at least one trial, got trials={trials}")
+    # the repair sets of a long code are n-bit masks: refuse before building them
+    if p.n > MAX_GROUND:
+        raise SizeRefusal(f"MR search would build an n={p.n} code; limit is n <= {MAX_GROUND}")
     checks = _certificate_checks(p)
-    if checks is None or checks > _CODE_LIMIT:
-        raise SizeRefusal(
-            f"MR search would rank {'uncounted' if checks is None else checks} "
-            f"{p.h}x{p.h} difference matrices per trial; limit is {_CODE_LIMIT} rank calls"
-        )
+    _refuse_ranks(f"MR search would rank {checks} {p.h}x{p.h} difference matrices per trial", checks, p.h)
     f = Field(field)
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")

@@ -350,8 +350,10 @@ def test_huge_indices_are_refused_at_once(tmp_path):
 
 
 def test_wide_code_checks_are_refused_at_once(tmp_path, capsys):
-    # each would rank past the 2^16 limit: C(24,12) column sets, or per search trial
-    # 271,151 6x6 difference matrices; refused before the first rank
+    # each would take past the 2^25-step limit: C(24,12) 12x12 column sets, or per
+    # search trial 271,151 6x6 difference matrices; refused before the first rank.
+    # A search past n = 64 is refused before it builds the repair sets, also at
+    # h = 0 (one check per trial) and h = 1
     mat = tmp_path / "m.txt"
     rows = [" ".join("1" if j % 12 == i else "0" for j in range(24)) for i in range(12)]
     mat.write_text("field 257\n12 24\n" + "\n".join(rows) + "\n")
@@ -359,11 +361,14 @@ def test_wide_code_checks_are_refused_at_once(tmp_path, capsys):
         ["code", "check", str(mat)],
         ["code", "check", str(mat), "--mr", "24,12,3"],
         ["code", "search", "24,12,3", "--field", "257", "--seed", "1"],
+        ["code", "search", "200000,100000,1", "--field", "257", "--seed", "1"],
+        ["code", "search", "131072,65535,1", "--field", "257", "--seed", "1"],
     ]
     got = _timed_runs(runs)
-    assert [code for code, _ in got] == [4, 4, 4]
+    assert [code for code, _ in got] == [4] * 5
     assert all(seconds < 1 for _, seconds in got), got
     counts = ["C(24,12) = 2704156 column sets"] * 2 + ["271151 6x6 difference matrices per trial"]
+    counts += ["n=200000 code; limit is n <= 64", "n=131072 code; limit is n <= 64"]
     for argv, count in zip(runs, counts):
         assert count in run(capsys, *argv)[2]
 

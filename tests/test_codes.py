@@ -61,7 +61,7 @@ def test_singleton_violation_is_not_mds():
 
 
 def test_mds_refusal():
-    # the limit counts column sets, not columns: a [25,1] code ranks 25 of them
+    # the limit weighs column sets, not columns: a [25,1] code ranks 25 1x1 sets
     assert is_mds_code(matrix_from_rows(FieldSpec(2), [[1] * 25]))
     with pytest.raises(SizeRefusal):
         is_mds_code(matrix_from_rows(FieldSpec(13), [[1] * 24 for _ in range(12)]))
@@ -71,12 +71,17 @@ def test_mds_refusal():
 
 
 def test_refusals_state_the_work():
-    # the refused count of column sets is named, C(30, 15) = 155117520
+    # the refused count of column sets is named, C(30, 15) = 155117520, with its
+    # steps at 15^3 per 15x15 rank
     gm = matrix_from_rows(FieldSpec(13), [[0] * 30 for _ in range(15)])
-    with pytest.raises(SizeRefusal, match=r"C\(30,15\) = 155117520 column sets; limit is 65536 rank calls"):
+    msg = r"C\(30,15\) = 155117520 column sets: 523521630000 steps at d\^3 per 15x15 rank; limit is 33554432"
+    with pytest.raises(SizeRefusal, match=msg):
         is_mds_code(gm)
-    with pytest.raises(SizeRefusal, match=r"C\(30,15\) = 155117520 column sets; limit is 65536 rank calls"):
+    with pytest.raises(SizeRefusal, match=msg):
         is_mr_lrc(gm, make_params(30, 15, 4))
+    # few column sets can still be too much work when each is wide: C(64,61) = 41664 61x61 ranks
+    with pytest.raises(SizeRefusal, match=r"C\(64,61\) = 41664 column sets: 9456936384 steps"):
+        is_mr_lrc(matrix_from_rows(FieldSpec(13), [[0] * 64 for _ in range(61)]), make_params(64, 61, 31))
     # a high-rate code is named by the dual side it would rank: C(40,10), not C(40,30)
     gm = matrix_from_rows(FieldSpec(13), [[0] * 40 for _ in range(30)])
     with pytest.raises(SizeRefusal, match=r"C\(40,10\) = 847660528 column sets"):
@@ -183,10 +188,10 @@ def test_search_validates_up_front():
         with pytest.raises(ParameterError, match="at least one trial"):
             search_mr_code(p, FieldSpec(13), trials=trials, seed=1)
     # refused before any trial, with the certificate's per-trial work
-    with pytest.raises(SizeRefusal, match=r"51329100 9x9 difference matrices per trial; limit is 65536 rank calls"):
+    with pytest.raises(SizeRefusal, match=r"51329100 9x9 difference matrices per trial: 37418913900 steps"):
         search_mr_code(make_params(30, 15, 4), FieldSpec(13), trials=1, seed=1)
-    # counting the checks would itself take g*h*r = 5*10^7 steps here, so they go uncounted
-    with pytest.raises(SizeRefusal, match=r"uncounted 5000x5000 difference matrices"):
+    # past the 64-element ground limit the search is refused before it counts over the repair sets
+    with pytest.raises(SizeRefusal, match=r"n=20000 code; limit is n <= 64"):
         search_mr_code(make_params(20000, 5000, 1), FieldSpec(13), trials=1, seed=1)
 
 
