@@ -36,12 +36,9 @@ from .matroid import (
     TableMatroid,
     check_axioms,
     closure,
-    contract,
-    delete,
     flats,
     is_uniform,
     minor,
-    restrict,
     uniform_matroid,
 )
 from .minors import (
@@ -59,7 +56,6 @@ from .mr import (
     MrParams,
     make_mr,
     make_params,
-    mr_flat_rank,
     mr_flats,
     parse_params,
     valid_param_triples,

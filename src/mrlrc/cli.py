@@ -105,8 +105,7 @@ def cmd_oracle(args) -> int:
     if args.kprime is not None:
         size, w = oracle_max_uniform(m, args.kprime)
         print(f"k'={args.kprime} max_n'={size}")
-        if w is not None:
-            print(w.to_line())
+        print(w.to_line())
     else:
         for kp, size in sorted(oracle_max_uniform_all(m).items()):
             print(f"k'={kp} max_n'={size}")
@@ -138,7 +137,8 @@ def cmd_code(args) -> int:
         field = parse_field(args.field)
         gm = search_mr_code(p, field, args.trials, args.seed)
         if gm is None:
-            print(f"no MR code found in {args.trials} trials", file=sys.stderr)
+            tried = f"{args.trials} trials" if args.trials is not None else "the trials the step limit admits"
+            print(f"no MR code found in {tried}", file=sys.stderr)
             return EXIT_CERT
         _emit(write_matrix(gm), args.out)
         return EXIT_OK
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("params")
     c.add_argument("--field", required=True, help='field spec, e.g. "13" or "2^4" or "2^4:19"')
     c.add_argument("--seed", type=int, required=True)
-    c.add_argument("--trials", type=int, default=100000)
+    c.add_argument("--trials", type=int, help="trial budget (default: as many as the step limit admits)")
     c.add_argument("--out")
     c.set_defaults(func=cmd_code)
 

@@ -33,10 +33,10 @@ from .mr import MrParams
 from .subsets import MAX_GROUND, bits_of, full_mask, masks_of_size
 
 # The most elimination steps one `is_mds_code` or `is_mr_lrc` call, or one
-# search trial, may take, a d x d rank weighing d^3 steps.  A step takes
-# 1.1-1.6 us over GF(257) or GF(2^8) (2-CPU x86-64 VM), so an admitted check
-# answers within about a minute; the [18,9] MDS check, C(18,9) = 48,620 9x9
-# ranks or 35.4M steps (~40 s), is just past the limit.
+# whole search (all its trials), may take, a d x d rank weighing d^3 steps.
+# A step takes 1.1-1.6 us over GF(257) or GF(2^8) (2-CPU x86-64 VM), so an
+# admitted check answers within about a minute; the [18,9] MDS check,
+# C(18,9) = 48,620 9x9 ranks or 35.4M steps (~40 s), is just past the limit.
 _CODE_LIMIT = 1 << 25
 
 
@@ -225,7 +225,7 @@ def _heavy_rows_are_mr(f: Field, p: MrParams, heavy) -> bool:
 
 
 def search_mr_code(
-    p: MrParams, field: FieldSpec, trials: int, seed: int
+    p: MrParams, field: FieldSpec, trials: int | None, seed: int
 ) -> GenMatrix | None:
     """Seeded random search for a certified MR generator matrix.
 
@@ -235,15 +235,24 @@ def search_mr_code(
     returns its nullspace as the generator matrix.  `is_mr_lrc`, the
     primal scan behind `code check --mr`, is an independent path to the
     same verdict.  Trials use derived seeds "seed:index", so the result is
-    deterministic and independent of scheduling.
+    deterministic and independent of scheduling.  The whole search, trials
+    times the steps of one trial (at least 1), is bounded by _CODE_LIMIT;
+    trials=None runs as many trials as that bound admits.
     """
-    if trials < 1:
+    if trials is not None and trials < 1:
         raise ParameterError(f"search needs at least one trial, got trials={trials}")
     # the repair sets of a long code are n-bit masks: refuse before building them
     if p.n > MAX_GROUND:
         raise SizeRefusal(f"MR search would build an n={p.n} code; limit is n <= {MAX_GROUND}")
     checks = _certificate_checks(p)
-    _refuse_ranks(f"MR search would rank {checks} {p.h}x{p.h} difference matrices per trial", checks, p.h)
+    steps = max(checks * p.h**3, 1)
+    if trials is None:
+        trials = max(_CODE_LIMIT // steps, 1)
+    if trials * steps > _CODE_LIMIT:
+        raise SizeRefusal(
+            f"MR search would rank {checks} {p.h}x{p.h} difference matrices per trial: {steps} steps at d^3 "
+            f"per {p.h}x{p.h} rank, {trials * steps} steps over {trials} trials; limit is {_CODE_LIMIT}"
+        )
     f = Field(field)
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")

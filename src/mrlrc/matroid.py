@@ -96,16 +96,13 @@ def uniform_matroid(n: int, k: int) -> TableMatroid:
 
 
 class MinorView(Matroid):
-    """Minor of a base matroid: contract a set, keep a disjoint set.
+    """Minor of a base matroid: contract a set, keep a disjoint set; built by `minor`.
 
     Elements keep their labels in the base matroid's mask space; the view's
     ground set is exactly `keep`.
     """
 
     def __init__(self, base: Matroid, contract: int, keep: int):
-        base._check_subset(contract | keep)
-        if contract & keep:
-            raise ParameterError("contract and keep sets must be disjoint")
         # flatten nested views so rank evaluation stays one level deep
         if isinstance(base, MinorView):
             contract = contract | base.contract
@@ -126,36 +123,12 @@ class MinorView(Matroid):
         return self.base.rank_array(masks | np.int64(self.contract)) - self._r0
 
 
-def contract(m: Matroid, x: int) -> MinorView:
-    m._check_subset(x)
-    return MinorView(m, x, m.ground & ~x)
-
-
-def restrict(m: Matroid, y: int) -> MinorView:
-    m._check_subset(y)
-    return MinorView(m, 0, y)
-
-
-def delete(m: Matroid, y: int) -> MinorView:
-    m._check_subset(y)
-    return MinorView(m, 0, m.ground & ~y)
-
-
 def minor(m: Matroid, contract_x: int, delete_y: int) -> MinorView:
+    """M/contract_x\\delete_y, the one way to build a minor view."""
     if contract_x & delete_y:
         raise ParameterError("contract and delete sets overlap")
     m._check_subset(contract_x | delete_y)
     return MinorView(m, contract_x, m.ground & ~contract_x & ~delete_y)
-
-
-def rank_vector(m: Matroid, masks: np.ndarray) -> np.ndarray:
-    """rank_array in batches of _RANK_BATCH masks."""
-    import numpy as np
-
-    out = np.empty(len(masks), dtype=np.int64)
-    for i in range(0, len(masks), _RANK_BATCH):
-        out[i : i + _RANK_BATCH] = m.rank_array(masks[i : i + _RANK_BATCH])
-    return out
 
 
 def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
@@ -164,9 +137,9 @@ def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
     Bit j of an index stands for the j-th ground member: subs deposits
     those bits onto the members, one shift per run of consecutive members,
     so subs ascends and memory is O(2^t) whatever the highest member.
-    rk = rank_vector(m, subs).  Axis 1 of x.reshape(-1, 2, 2^j) is bit j of
-    the index, for x either array.  A member at bit 63 does not fit int64
-    (OverflowError).
+    rk holds their ranks, from rank_array in batches of _RANK_BATCH masks.
+    Axis 1 of x.reshape(-1, 2, 2^j) is bit j of the index, for x either
+    array.  A member at bit 63 does not fit int64 (OverflowError).
     """
     import numpy as np
 
@@ -179,7 +152,10 @@ def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
         members = ((1 << run) - 1) << lo
         subs |= (idx << (lo - j)) & np.int64(members)
         j, rest = j + run, rest & ~members
-    return subs, rank_vector(m, subs)
+    rk = np.empty_like(subs)
+    for i in range(0, len(subs), _RANK_BATCH):
+        rk[i : i + _RANK_BATCH] = m.rank_array(subs[i : i + _RANK_BATCH])
+    return subs, rk
 
 
 @dataclass
@@ -257,10 +233,6 @@ def closure(m: Matroid, x: int) -> int:
         if m.rank(x | (1 << e)) == r:
             out |= 1 << e
     return out
-
-
-def is_flat(m: Matroid, f: int) -> bool:
-    return closure(m, f) == f
 
 
 def flats(m: Matroid) -> list[int]:

@@ -11,9 +11,11 @@ leftovers b - F of the repair sets b with |b - F| <= k'.  They are
 disjoint, so deleting the lowest member of each is the least deletion
 that leaves a uniform minor.
 
-The oracle contracts each flat of the right rank (sufficient by the Scum
-theorem), taken from the generic closure scan `matroid.flats`, and then
-chooses arbitrary deletions.  It uses none of the constructors and nothing
+The oracle takes the flats from one generic closure scan, `matroid.flats`,
+per call.  By the Scum theorem a rank-k' minor needs only the flats of
+rank rank(E) - k', so each flat serves exactly one k': the oracle ranks it
+once, contracts it at that k' with `matroid.minor` and then chooses
+arbitrary deletions.  The oracle uses none of the constructors and nothing
 of the closed-form `mr.mr_flats`, which stays the independent check of the
 scan.  The constructors do use the oracle: in the eq3 gap cases, where
 `_spread` finds no contract set (the minimal j overshoots), `witness_eq3`
@@ -31,7 +33,6 @@ from .errors import ParameterError, SizeRefusal
 from .matroid import (
     Matroid,
     closure,
-    contract,
     flats,
     is_uniform,
     minor,
@@ -185,10 +186,7 @@ def witness_eq3(m: MrMatroid, k_prime: int) -> MinorWitness:
     formula_size = eq3_size(p, k_prime)
     f = _spread(p, p.k - k_prime, p.r - k_prime)
     if f is None:
-        _, best = oracle_max_uniform(m, k_prime)
-        if best is None:
-            raise RuntimeError(f"the oracle found no rank-{k_prime} uniform minor to take F from")
-        f = best.contract_flat
+        f = oracle_max_uniform(m, k_prime)[1].contract_flat
     return _witness(m, f, k_prime, formula_size)
 
 
@@ -238,12 +236,14 @@ def _max_circuit_free(ground: int, circuits: list[int]) -> int:
     return best[1]
 
 
-def oracle_max_uniform(m: Matroid, k_prime: int) -> tuple[int, MinorWitness | None]:
-    """Largest uniform minor of rank k', by exhaustive search over contract-flats.
+def _oracle_scan(m: Matroid, k_prime: int | None = None) -> dict[int, tuple[int, MinorWitness]]:
+    """k' -> (largest size, its verified witness), for k_prime alone or every 2 <= k' <= rank(E).
 
     By the Scum theorem it suffices to contract flats of rank
-    rank(E) - k'; deletions are then chosen to kill every dependent set of
-    size <= k' in the contracted matroid.
+    rank(E) - k', so one pass over `flats` serves every k': each flat is
+    ranked once and tried at its own k'.  Deletions are then chosen to
+    kill every dependent set of size <= k' in the contracted matroid.  E - F
+    has rank k' in M/F, so every k' finds a minor of at least k' elements.
     """
     t = m.ground_size
     if t > _ORACLE_LIMIT:
@@ -251,29 +251,29 @@ def oracle_max_uniform(m: Matroid, k_prime: int) -> tuple[int, MinorWitness | No
             f"oracle search scans the flats among 2^{t} subsets; limit is ground size {_ORACLE_LIMIT}"
         )
     k0 = m.full_rank()
-    if not 2 <= k_prime <= k0:
+    if k_prime is not None and not 2 <= k_prime <= k0:
         raise ParameterError(f"oracle rank target must satisfy 2 <= k' <= rank(E)={k0}")
-    best_size = 0
-    best: MinorWitness | None = None
+    targets = range(2, k0 + 1) if k_prime is None else (k_prime,)
+    best = {kp: (0, None) for kp in targets}
     for f in flats(m):
-        if m.rank(f) != k0 - k_prime:
+        kp = k0 - m.rank(f)
+        if kp not in best:
             continue
         ground = m.ground & ~f
-        if popcount(ground) <= best_size or popcount(ground) < k_prime:
+        if popcount(ground) <= best[kp][0]:
             continue
-        view = contract(m, f)
-        circuits = _small_circuits(view, k_prime)
-        keep = _max_circuit_free(ground, circuits)
+        keep = _max_circuit_free(ground, _small_circuits(minor(m, f, 0), kp))
         size = popcount(keep)
-        if size < k_prime or size <= best_size:
-            continue
-        best = _verified(m, MinorWitness(f, ground & ~keep, k_prime, size))
-        best_size = size
-    return best_size, best
+        if size > best[kp][0]:
+            best[kp] = (size, _verified(m, MinorWitness(f, ground & ~keep, kp, size)))
+    return best
+
+
+def oracle_max_uniform(m: Matroid, k_prime: int) -> tuple[int, MinorWitness]:
+    """Largest uniform minor of rank k', by exhaustive search over contract-flats."""
+    return _oracle_scan(m, k_prime)[k_prime]
 
 
 def oracle_max_uniform_all(m: Matroid) -> dict[int, int]:
-    """Table k' -> largest uniform-minor size, for 2 <= k' <= rank(E)."""
-    k0 = m.full_rank()
-    return {kp: oracle_max_uniform(m, kp)[0] for kp in range(2, k0 + 1)}
-
+    """Table k' -> largest uniform-minor size, for 2 <= k' <= rank(E), from one flats scan."""
+    return {kp: size for kp, (size, _) in _oracle_scan(m).items()}

@@ -116,8 +116,6 @@ class MrMatroid(Matroid):
     """Rank oracle of the (n, k, r)-MR matroid."""
 
     def __init__(self, params: MrParams):
-        if params.n > 64:
-            raise ParameterError(f"matroid ground sets are limited to 64 elements, got n={params.n}")
         self.params = params
         self.ground = full_mask(params.n)
 
@@ -169,24 +167,6 @@ def mr_flats(m: MrMatroid) -> list[int]:
         out.append(e)
     out.sort(key=lambda s: (popcount(s), s))
     return out
-
-
-def mr_flat_rank(m: MrMatroid, f: int) -> int:
-    """Rank of a proper flat: |F| minus the number of repair sets inside it."""
-    p = m.params
-    m._check_subset(f)
-    if f == m.ground:
-        raise ParameterError("flat rank formula applies to proper flats only")
-    full = 0
-    for b in p.repair_sets:
-        inter = popcount(f & b)
-        if inter == p.r + 1:
-            full += 1
-        elif inter == p.r:
-            raise ParameterError(f"{format_indices(f)} is not a flat: meets a repair set in r elements")
-    if popcount(f) - full >= p.k:
-        raise ParameterError(f"{format_indices(f)} is not a proper flat: rank formula reaches k")
-    return popcount(f) - full
 
 
 def valid_param_triples(n_max: int):

@@ -28,7 +28,7 @@ _BLOCK = 1 << 13
 
 def full_mask(n: int) -> int:
     if not 0 <= n <= MAX_GROUND:
-        raise ValueError(f"ground size must be in [0, {MAX_GROUND}], got {n}")
+        raise ParameterError(f"ground size must be in [0, {MAX_GROUND}], got {n}")
     return (1 << n) - 1
 
 

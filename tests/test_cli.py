@@ -188,6 +188,32 @@ def test_code_search_validation_exit_codes(capsys):
     assert out == ""
 
 
+def test_code_search_bounds_the_whole_command(capsys, tmp_path):
+    # 100,000 trials of 14,247,090 steps each: refused before the first trial
+    code, out, err = run(
+        capsys, "code", "search", "45,37,8", "--field", "65521", "--seed", "22", "--trials", "100000"
+    )
+    assert code == 4
+    assert "per trial: 14247090 steps" in err and "over 100000 trials" in err
+    assert out == ""
+    # without --trials the budget is the largest the limit admits: 95,325 for (8,4,3)
+    mat = tmp_path / "c.txt"
+    code, _, _ = run(capsys, "code", "search", "8,4,3", "--field", "13", "--seed", "7", "--out", str(mat))
+    assert code == 0
+    code, out, _ = run(capsys, "code", "check", str(mat), "--mr", "8,4,3")
+    assert code == 0 and out == "MR: true\n"
+
+
+def test_matrix_past_64_columns_is_a_parameter_error(capsys, tmp_path):
+    mat = tmp_path / "wide.txt"
+    mat.write_text("field 2\n1 65\n" + " ".join(["1"] * 65) + "\n")
+    for argv in (("check", str(mat)), ("shorten", str(mat), "--cols", "0")):
+        code, out, err = run(capsys, "code", *argv)
+        assert code == 3, argv
+        assert "ground size must be in [0, 64], got 65" in err
+        assert out == ""
+
+
 def test_code_shorten_puncture_pipeline(capsys, tmp_path):
     mat = tmp_path / "code.txt"
     run(capsys, "code", "search", "8,4,3", "--field", "13", "--seed", "7",

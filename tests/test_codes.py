@@ -22,7 +22,7 @@ from mrlrc.codes import (
 )
 from mrlrc.errors import ParameterError, SizeRefusal
 from mrlrc.gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field
-from mrlrc.matroid import contract, delete, rank_vector
+from mrlrc.matroid import minor
 from mrlrc.minors import witness_eq1, witness_eq2, witness_eq3
 from mrlrc.mr import make_mr, make_params, parse_params
 from mrlrc.subsets import bits_of, mask_of, submasks
@@ -96,7 +96,7 @@ def test_search_finds_mr_code_and_matches_matroid():
     lm = code_to_matroid(gm)
     m = make_mr(8, 4, 3)
     subs = np.array(submasks(m.ground), dtype=np.int64)
-    assert (rank_vector(lm, subs) == rank_vector(m, subs)).all()
+    assert (lm.rank_array(subs) == m.rank_array(subs)).all()
 
 
 def test_search_pinned_output():
@@ -195,6 +195,21 @@ def test_search_validates_up_front():
         search_mr_code(make_params(20000, 5000, 1), FieldSpec(13), trials=1, seed=1)
 
 
+def test_search_bounds_trials_times_steps():
+    # (8,4,3) ranks 44 2x2 matrices, 352 steps, per trial: 95,325 trials fit in
+    # 2^25 = 33,554,432 steps and 95,326 do not
+    p = make_params(8, 4, 3)
+    with pytest.raises(SizeRefusal, match=r"per trial: 352 steps .* 33554752 steps over 95326 trials"):
+        search_mr_code(p, FieldSpec(13), trials=95_326, seed=7)
+    assert search_mr_code(p, FieldSpec(13), trials=95_325, seed=7) is not None
+    # three trials of the (45,37,8) certificate are past the limit; two are not
+    with pytest.raises(SizeRefusal, match=r"per trial: 14247090 steps .* over 3 trials"):
+        search_mr_code(make_params(45, 37, 8), FieldSpec(65521), trials=3, seed=22)
+    # an h = 0 trial ranks nothing but still weighs one step
+    with pytest.raises(SizeRefusal, match=r"per trial: 1 steps"):
+        search_mr_code(make_params(8, 6, 3), FieldSpec(13), trials=(1 << 25) + 1, seed=1)
+
+
 def test_search_is_deterministic():
     p = make_params(8, 4, 3)
     a = search_mr_code(p, FieldSpec(13), trials=50, seed=3)
@@ -215,7 +230,7 @@ def test_puncture_matches_deletion():
     lm = code_to_matroid(gm)
     x = mask_of([0, 4])
     pm = code_to_matroid(puncture(gm, x))
-    dv = delete(lm, x)
+    dv = minor(lm, 0, x)
     survivors = bits_of(lm.ground & ~x)
     for s in submasks(dv.ground):
         dense = 0
@@ -230,7 +245,7 @@ def test_shorten_matches_contraction():
     lm = code_to_matroid(gm)
     x = mask_of([0, 4])
     sm = code_to_matroid(shorten(gm, x))
-    cv = contract(lm, x)
+    cv = minor(lm, x, 0)
     assert sm.gm.k == gm.k - lm.rank(x)
     survivors = bits_of(lm.ground & ~x)
     for s in submasks(cv.ground):

@@ -12,14 +12,9 @@ from mrlrc.matroid import (
     TableMatroid,
     check_axioms,
     closure,
-    contract,
-    delete,
     flats,
-    is_flat,
     is_uniform,
     minor,
-    rank_vector,
-    restrict,
     uniform_matroid,
 )
 from mrlrc.minors import witness_eq1
@@ -49,7 +44,7 @@ def test_axioms_fail_non_monotone():
 def _pair_scan(m):
     """Reference axiom check: (R1, R2, R3) verdicts over all 4^t subset pairs."""
     subs = np.array(submasks(m.ground), dtype=np.int64)
-    rk = rank_vector(m, subs)
+    rk = m.rank_array(subs)
     table = np.full(1 << m.ground.bit_length(), -1, dtype=np.int64)
     table[subs] = rk
     x, y = subs[:, None], subs[None, :]
@@ -130,7 +125,7 @@ def _gather_scan(m):
     t = m.ground_size
     idx = np.arange(1 << t, dtype=np.int64)
     subs = np.array(submasks(m.ground), dtype=np.int64)  # dense index order
-    rk = rank_vector(m, subs)
+    rk = m.rank_array(subs)
     found = {}
     bad1 = (rk < 0) | (rk > popcount_array(subs))
     if bad1.any():
@@ -165,9 +160,9 @@ def test_axioms_view_walk_matches_gather_scan():
         m = TableMatroid(n, _random_table(rng, n))
         kind = rng.randrange(3)
         if kind == 1:
-            m = restrict(m, rng.getrandbits(n))
+            m = minor(m, 0, m.ground & ~rng.getrandbits(n))
         elif kind == 2:
-            m = contract(m, rng.getrandbits(n) & rng.getrandbits(n))
+            m = minor(m, rng.getrandbits(n) & rng.getrandbits(n), 0)
         report = check_axioms(m)
         verdicts, found = _gather_scan(m)
         assert (report.r1_ok, report.r2_ok, report.r3_ok) == verdicts
@@ -224,7 +219,7 @@ def test_flats_u32():
 
 def _reference_flats(m):
     """Scalar closure test on every ground subset, sorted by (size, mask)."""
-    return sorted((s for s in submasks(m.ground) if is_flat(m, s)), key=lambda s: (popcount(s), s))
+    return sorted((s for s in submasks(m.ground) if closure(m, s) == s), key=lambda s: (popcount(s), s))
 
 
 def test_flats_sorted_and_contain_ground():
@@ -250,13 +245,13 @@ def test_scans_of_wide_minors_are_sized_by_the_ground():
     # 10-14 members scattered over a 40-bit mask space: the tables hold 2^t
     # entries for t ground members, not 2^40
     m = make_mr(40, 20, 3)
-    views = [restrict(m, 0xFFF << 20)]
+    views = [minor(m, 0, m.ground & ~(0xFFF << 20))]
     rng = random.Random(40)
     for t in (10, 12, 14):
         keep = mask_of(rng.sample(range(40), t))
-        views.append(restrict(m, keep))
+        views.append(minor(m, 0, m.ground & ~keep))
         c = mask_of(rng.sample(bits_of(m.ground & ~keep), rng.randint(1, 12)))
-        views.append(contract(restrict(m, keep | c), c))
+        views.append(minor(minor(m, 0, m.ground & ~(keep | c)), c, 0))
     assert len(flats(views[0])) == 1728
     for view in views:
         assert 10 <= view.ground_size <= 14
@@ -265,7 +260,8 @@ def test_scans_of_wide_minors_are_sized_by_the_ground():
 
 
 def test_scans_refuse_a_member_at_bit_63():
-    view = restrict(make_mr(64, 40, 3), 0xFF << 56)
+    m = make_mr(64, 40, 3)
+    view = minor(m, 0, m.ground & ~(0xFF << 56))
     for scan in (flats, check_axioms):
         with pytest.raises(OverflowError):
             scan(view)
@@ -274,7 +270,7 @@ def test_scans_refuse_a_member_at_bit_63():
 def test_minor_view_rank_formula():
     m = make_mr(8, 4, 3)
     c = mask_of([0, 4])  # one element from each repair set
-    view = contract(m, c)
+    view = minor(m, c, 0)
     assert view.full_rank() == 2
     for a in submasks(view.ground)[:100]:
         assert view.rank(a) == m.rank(a | c) - m.rank(c)
@@ -282,7 +278,7 @@ def test_minor_view_rank_formula():
 
 def test_contract_by_empty_is_identity():
     m = make_mr(8, 4, 3)
-    view = contract(m, 0)
+    view = minor(m, 0, 0)
     assert all(view.rank(a) == m.rank(a) for a in submasks(m.ground)[:200])
 
 
@@ -294,7 +290,7 @@ def test_minor_overlap_error():
 
 def test_minor_rank_outside_ground():
     m = make_mr(8, 4, 3)
-    view = delete(m, 0b1)
+    view = minor(m, 0, 0b1)
     with pytest.raises(ValueError):
         view.rank(0b1)
 
@@ -306,9 +302,9 @@ def test_minor_order_independence_exhaustive_n8():
         x = rng.getrandbits(8) & m.ground
         y = rng.getrandbits(8) & m.ground & ~x
         a = minor(m, x, y)
-        b = contract(delete(m, y), x)
+        b = minor(minor(m, 0, y), x, 0)
         subs = np.array(submasks(a.ground), dtype=np.int64)
-        assert (rank_vector(a, subs) == rank_vector(b, subs)).all()
+        assert (a.rank_array(subs) == b.rank_array(subs)).all()
 
 
 def test_minor_order_independence_random_12():
@@ -317,20 +313,11 @@ def test_minor_order_independence_random_12():
     for _ in range(100):
         x = rng.getrandbits(12) & m.ground
         y = rng.getrandbits(12) & m.ground & ~x
-        a = delete(contract(m, x), y)
-        b = contract(delete(m, y), x)
+        a = minor(minor(m, x, 0), 0, y)
+        b = minor(minor(m, 0, y), x, 0)
         assert a.ground == b.ground
         subs = np.array(submasks(a.ground), dtype=np.int64)
-        assert (rank_vector(a, subs) == rank_vector(b, subs)).all()
-
-
-def test_restrict_matches_delete():
-    m = make_mr(8, 4, 3)
-    y = 0b00111100
-    a = restrict(m, y)
-    b = delete(m, m.ground & ~y)
-    assert a.ground == b.ground
-    assert all(a.rank(s) == b.rank(s) for s in submasks(y))
+        assert (a.rank_array(subs) == b.rank_array(subs)).all()
 
 
 def _flats_of_minor_check(m, f, x):
@@ -340,13 +327,13 @@ def _flats_of_minor_check(m, f, x):
     E-f with A|f a flat of M.  Deletion of x: flats of M\\x must be exactly
     {F - x : F a flat of M}.
     """
-    if not is_flat(m, f):
+    if closure(m, f) != f:
         raise ParameterError("contraction set must be a flat of the matroid")
-    direct_c = set(flats(contract(m, f)))
-    via_m = {a for a in submasks(m.ground & ~f) if is_flat(m, a | f)}
+    direct_c = set(flats(minor(m, f, 0)))
+    via_m = {a for a in submasks(m.ground & ~f) if closure(m, a | f) == a | f}
     if direct_c != via_m:
         return False
-    direct_d = set(flats(delete(m, x)))
+    direct_d = set(flats(minor(m, 0, x)))
     via_m2 = {fl & ~x for fl in flats(m)}
     return direct_d == via_m2
 
@@ -385,7 +372,7 @@ def test_is_uniform_rejects_mr():
 
 def test_is_uniform_minor_after_transversal_deletion():
     m = make_mr(8, 4, 3)
-    view = delete(m, mask_of([0, 4]))
+    view = minor(m, 0, mask_of([0, 4]))
     assert is_uniform(view) == (6, 4)
 
 
@@ -393,7 +380,7 @@ def _is_uniform_by_definition(m):
     """Definition-level check: rank(X) = min(|X|, rank(E)) for every subset."""
     k = m.full_rank()
     subs = np.array(submasks(m.ground), dtype=np.int64)
-    rk = rank_vector(m, subs)
+    rk = m.rank_array(subs)
     if (rk == np.minimum(popcount_array(subs), k)).all():
         return (m.ground_size, k)
     return None
@@ -404,8 +391,8 @@ def test_is_uniform_matches_definition():
         uniform_matroid(6, 3),
         make_mr(8, 4, 3),
         make_mr(9, 4, 2),
-        delete(make_mr(8, 4, 3), mask_of([0, 4])),
-        contract(make_mr(12, 7, 3), mask_of([0, 4])),
+        minor(make_mr(8, 4, 3), 0, mask_of([0, 4])),
+        minor(make_mr(12, 7, 3), mask_of([0, 4]), 0),
     ]
     for m in cases:
         assert is_uniform(m) == _is_uniform_by_definition(m)
@@ -428,7 +415,7 @@ def _late_failure_minors():
     """
     for n, k, r in valid_param_triples(12):
         m = make_mr(n, k, r)
-        yield delete(m, mask_of(bits_of(b)[0] for b in m.params.repair_sets[:-1]))
+        yield minor(m, 0, mask_of(bits_of(b)[0] for b in m.params.repair_sets[:-1]))
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64])
@@ -483,7 +470,7 @@ def test_is_uniform_memory_is_one_batch():
 
 def test_is_uniform_refusal_states_its_work(monkeypatch):
     # the eq1 minor of (48,24,3): one element deleted from each of the 12 repair sets
-    view = delete(make_mr(48, 24, 3), mask_of(range(0, 48, 4)))
+    view = minor(make_mr(48, 24, 3), 0, mask_of(range(0, 48, 4)))
     with pytest.raises(SizeRefusal, match=r"would rank C\(36,24\) = 1251677700 subsets; limit is 67108864"):
         is_uniform(view)
     # the budget counts k-subsets: C(20, 11) = 167,960 is the first refused total
@@ -506,8 +493,8 @@ def test_flats_refusal():
 
 def test_minor_view_flattening():
     m = make_mr(8, 4, 3)
-    v1 = contract(m, 0b1)
-    v2 = contract(v1, 0b10000)
+    v1 = minor(m, 0b1, 0)
+    v2 = minor(v1, 0b10000, 0)
     assert isinstance(v2, MinorView)
     assert v2.base is m
     assert v2.contract == 0b10001

@@ -5,7 +5,7 @@ import pytest
 
 from mrlrc import minors
 from mrlrc.errors import ParameterError, SizeRefusal
-from mrlrc.matroid import contract, is_uniform, minor, restrict
+from mrlrc.matroid import is_uniform, minor
 from mrlrc.minors import (
     MinorWitness,
     oracle_max_uniform,
@@ -244,6 +244,28 @@ def test_oracle_matches_theorem_12_7_3():
     assert max(table.values()) == largest_uniform_size(m.params) == 9
 
 
+def test_oracle_lines_pinned():
+    # every oracle answer (size and best witness) for n <= 10, k' in 2..k; the
+    # digest was recorded from the oracle that rescanned the flats per k'
+    lines = []
+    for n, k, r in valid_param_triples(10):
+        m = make_mr(n, k, r)
+        for kp in range(2, k + 1):
+            size, w = oracle_max_uniform(m, kp)
+            lines.append(f"{n},{k},{r} {kp} {size} {w.to_line()}")
+    assert len(lines) == 73
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4c6bbebe49114b9d03a28b30190a9d57a60315c544fac179a9d14ca89b098b85"
+
+
+def test_oracle_table_scans_the_flats_once(monkeypatch):
+    scans = []
+    flats = minors.flats
+    monkeypatch.setattr(minors, "flats", lambda m: scans.append(m) or flats(m))
+    assert oracle_max_uniform_all(make_mr(12, 7, 3)) == {2: 6, 3: 6, 4: 6, 5: 7, 6: 8, 7: 9}
+    assert len(scans) == 1
+
+
 def test_oracle_witnesses_verify():
     m = make_mr(9, 4, 2)
     for kp in range(2, 5):
@@ -271,7 +293,7 @@ def _unrestricted_max_uniform(m, k_prime):
         ground = m.ground & ~c
         if popcount(ground) <= best or popcount(ground) < k_prime:
             continue
-        view = contract(m, c)
+        view = minor(m, c, 0)
         keep = _max_circuit_free(ground, _small_circuits(view, k_prime))
         size = popcount(keep)
         if size >= k_prime:
@@ -291,7 +313,8 @@ def test_flat_restriction_loses_nothing():
 def test_oracle_on_a_wide_restriction():
     # 12 members at bits 20-31 of a 40-bit mask space: the flats come from
     # a scan over the 2^12 ground subsets
-    view = restrict(make_mr(40, 20, 3), 0xFFF << 20)
+    m = make_mr(40, 20, 3)
+    view = minor(m, 0, m.ground & ~(0xFFF << 20))
     size, w = oracle_max_uniform(view, 2)
     assert size == 3 and w.claimed_size == 3 and w.target_rank == 2
     assert verify_witness(view, w)

@@ -9,7 +9,6 @@ from mrlrc.mr import (
     MrMatroid,
     make_mr,
     make_params,
-    mr_flat_rank,
     mr_flats,
     parse_params,
     valid_param_triples,
@@ -105,24 +104,6 @@ def test_mr_flats_never_meet_repair_set_in_r():
             continue
         for b in m.params.repair_sets:
             assert popcount(f & b) != m.params.r
-
-
-def test_mr_flat_rank_values():
-    m = make_mr(8, 4, 3)
-    assert mr_flat_rank(m, m.params.repair_sets[0]) == 3
-    assert mr_flat_rank(m, 0) == 0
-    m12 = make_mr(12, 7, 3)
-    f = m12.params.repair_sets[0] | mask_of([4])
-    assert mr_flat_rank(m12, f) == 4
-    assert mr_flat_rank(m12, f) == m12.rank(f)
-
-
-def test_mr_flat_rank_rejects_non_flats():
-    m = make_mr(8, 4, 3)
-    with pytest.raises(ParameterError):
-        mr_flat_rank(m, m.ground)
-    with pytest.raises(ParameterError):
-        mr_flat_rank(m, 0b0111)
 
 
 def test_information_set_property():
