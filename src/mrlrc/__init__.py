@@ -21,10 +21,8 @@ from .codes import (
     is_mds_code,
     is_mr_lrc,
     matrix_from_rows,
-    puncture,
     read_matrix,
     search_mr_code,
-    shorten,
     shorten_then_puncture,
     write_matrix,
 )

@@ -14,6 +14,8 @@ from .mr import MrParams, make_params
 
 # A sweep prints one row per valid n, so its output grows with n_max: at most
 # 1,000 rows here (sweep(3, 1, 2, 2000) takes 0.03 s on a 2-CPU x86-64 VM).
+# A bounds report lists one size per rank k' of its eq3 and eq4 families,
+# and holds each family to the same count.
 _SWEEP_N_LIMIT = 2000
 
 
@@ -52,6 +54,15 @@ def eq3_range(p: MrParams) -> range:
 
 def eq4_range(p: MrParams) -> range:
     return range(p.r + 1, p.k)
+
+
+def _listed(ranks: range, family: str) -> range:
+    """ranks, or a SizeRefusal before a list of more than _SWEEP_N_LIMIT sizes is built."""
+    if len(ranks) > _SWEEP_N_LIMIT:
+        raise SizeRefusal(
+            f"bounds list the {family} size of each of {len(ranks)} ranks k'; limit is {_SWEEP_N_LIMIT}"
+        )
+    return ranks
 
 
 def largest_uniform_size(p: MrParams) -> int:
@@ -121,7 +132,8 @@ def q_lower_conjectural(p: MrParams) -> ConjecturalBound:
 def _sizes_by_rank(p: MrParams) -> dict[int, int]:
     """Formula size of each family the theorem maximises over, by rank:
     eq1 (rank k), eq2 (rank r) and eq3 (2 <= k' <= r-1)."""
-    return {p.k: eq1_size(p), p.r: eq2_size(p), **{kp: eq3_size(p, kp) for kp in eq3_range(p)}}
+    eq3 = {kp: eq3_size(p, kp) for kp in _listed(eq3_range(p), "eq3")}
+    return {p.k: eq1_size(p), p.r: eq2_size(p), **eq3}
 
 
 def _conjectural(best: int, by_rank: dict[int, int]) -> ConjecturalBound:
@@ -162,10 +174,7 @@ def rate_threshold(r: int) -> Fraction:
 class ThresholdReport:
     rate: Fraction
     threshold: Fraction
-    q_unconditional: int
-    q_gopalan: int
     improves: bool
-    consistent: bool
     near_boundary: bool
 
 
@@ -179,16 +188,10 @@ def threshold_report(p: MrParams) -> ThresholdReport:
     """
     rate = Fraction(p.k, p.n)
     thr = rate_threshold(p.r)
-    qu = q_lower_unconditional(p)
-    qg = q_lower_gopalan(p)
-    improves = qu > qg
     return ThresholdReport(
         rate=rate,
         threshold=thr,
-        q_unconditional=qu,
-        q_gopalan=qg,
-        improves=improves,
-        consistent=improves == (rate <= thr),
+        improves=q_lower_unconditional(p) > q_lower_gopalan(p),
         near_boundary=rate == thr or p.r == 1,
     )
 
@@ -251,6 +254,7 @@ class BoundsReport:
 
 
 def compute_bounds(p: MrParams) -> BoundsReport:
+    eq4_ranks = _listed(eq4_range(p), "eq4")
     by_rank = _sizes_by_rank(p)
     best = largest_uniform_size(p)
     if best != max(by_rank.values()):
@@ -262,7 +266,7 @@ def compute_bounds(p: MrParams) -> BoundsReport:
         eq1_size=by_rank[p.k],
         eq2_size=by_rank[p.r],
         eq3_sizes={kp: by_rank[kp] for kp in eq3_range(p)},
-        eq4_sizes={kp: eq4_size(p, kp) for kp in eq4_range(p)},
+        eq4_sizes={kp: eq4_size(p, kp) for kp in eq4_ranks},
         largest_uniform=best,
         q_unconditional=q_lower_unconditional(p),
         q_unconditional_vacuous=q_unconditional_is_vacuous(p),
@@ -289,7 +293,7 @@ def sweep(k: int, r: int, n_min: int, n_max: int) -> list[BoundsReport]:
         )
     rows = [
         compute_bounds(make_params(n, k, r))
-        for n in range(n_min, n_max + 1)
+        for n in range(max(n_min, r + 1), n_max + 1)  # no n <= r holds a repair set
         if n % (r + 1) == 0 and r < k <= n // (r + 1) * r
     ]
     if not rows:

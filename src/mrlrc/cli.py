@@ -14,10 +14,9 @@ from .bounds import SWEEP_HEADER, compute_bounds, sweep, threshold_report
 from .codes import (
     is_mds_code,
     is_mr_lrc,
-    puncture,
     read_matrix,
     search_mr_code,
-    shorten,
+    shorten_then_puncture,
     write_matrix,
 )
 from .errors import ParameterError, SizeRefusal
@@ -157,8 +156,8 @@ def cmd_code(args) -> int:
         return EXIT_OK if ok else EXIT_CERT
 
     cols = parse_indices(args.cols)
-    out_gm = puncture(gm, cols) if args.code_cmd == "puncture" else shorten(gm, cols)
-    _emit(write_matrix(out_gm), args.out)
+    f, x = (cols, 0) if args.code_cmd == "shorten" else (0, cols)
+    _emit(write_matrix(shorten_then_puncture(gm, f, x)), args.out)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ code, the (n-k)-column sets of its dual.  Contraction and deletion of
 the matroid are shortening and puncturing of the code, and
 `shorten_then_puncture` is the one code minor: it eliminates the contracted
 columns once and keeps the other rows on the columns that survive, in the
-caller's labels.  `shorten` and `puncture` are its two one-sided cases.
+caller's labels.
 
 Maximal recoverability is certified on two independent paths.
 `search_mr_code` certifies each trial's parity-check matrix on the parity
@@ -162,16 +162,6 @@ def shorten_then_puncture(gm: GenMatrix, contract_mask: int, delete_mask: int) -
     return GenMatrix(gm.field, len(keep), new_rows)
 
 
-def shorten(gm: GenMatrix, x: int) -> GenMatrix:
-    """Shorten at the columns in x (matroid contraction)."""
-    return shorten_then_puncture(gm, x, 0)
-
-
-def puncture(gm: GenMatrix, x: int) -> GenMatrix:
-    """Drop the columns in x (matroid deletion)."""
-    return shorten_then_puncture(gm, 0, x)
-
-
 def _difference_sets(groups, r: int, budget: int):
     """Yield each choice of subsets S_i (|S_i| >= 2) of distinct groups with
     sum(|S_i| - 1) = budget, as its (min S_i, c) pairs for c in S_i - min S_i."""
@@ -305,10 +295,8 @@ __all__ = [
     "is_mr_lrc",
     "matrix_from_rows",
     "parse_field",
-    "puncture",
     "read_matrix",
     "search_mr_code",
-    "shorten",
     "shorten_then_puncture",
     "write_matrix",
 ]

@@ -23,7 +23,6 @@ from .subsets import (
     bits_of,
     full_mask,
     mask_batches,
-    popcount,
     popcount_array,
 )
 
@@ -43,7 +42,7 @@ class Matroid:
 
     @property
     def ground_size(self) -> int:
-        return popcount(self.ground)
+        return self.ground.bit_count()
 
     def rank(self, x: int) -> int:
         raise NotImplementedError
@@ -99,17 +98,13 @@ class MinorView(Matroid):
     """Minor of a base matroid: contract a set, keep a disjoint set; built by `minor`.
 
     Elements keep their labels in the base matroid's mask space; the view's
-    ground set is exactly `keep`.
+    ground set is exactly the kept set.  A view of a view ranks through its
+    base view.
     """
 
     def __init__(self, base: Matroid, contract: int, keep: int):
-        # flatten nested views so rank evaluation stays one level deep
-        if isinstance(base, MinorView):
-            contract = contract | base.contract
-            base = base.base
         self.base = base
         self.contract = contract
-        self.keep = keep
         self.ground = keep
         self._r0 = base.rank(contract)
 

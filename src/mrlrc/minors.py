@@ -44,7 +44,6 @@ from .subsets import (
     lowest_bits,
     masks_of_size,
     parse_indices,
-    popcount,
 )
 
 _ORACLE_LIMIT = 15
@@ -96,7 +95,7 @@ def verify_witness(m: Matroid, w: MinorWitness) -> bool:
         return False
     if (w.contract_flat | w.delete_set) & ~m.ground:
         return False
-    if w.claimed_size != m.ground_size - popcount(w.contract_flat) - popcount(w.delete_set):
+    if w.claimed_size != m.ground_size - w.contract_flat.bit_count() - w.delete_set.bit_count():
         return False
     if closure(m, w.contract_flat) != w.contract_flat:
         return False
@@ -109,9 +108,9 @@ def _witness(m: MrMatroid, f: int, k_prime: int, formula_size: int) -> MinorWitn
     x = 0
     for b in m.params.repair_sets:
         rest = b & ~f
-        if popcount(rest) <= k_prime:
+        if rest.bit_count() <= k_prime:
             x |= rest & -rest
-    size = m.ground_size - popcount(f) - popcount(x)
+    size = m.ground_size - f.bit_count() - x.bit_count()
     w = MinorWitness(f, x, k_prime, size, boundary_case=size != formula_size, formula_size=formula_size)
     return _verified(m, w)
 
@@ -222,14 +221,14 @@ def _max_circuit_free(ground: int, circuits: list[int]) -> int:
     best = [0, 0]
 
     def rec(cur: int) -> None:
-        if popcount(cur) <= best[0]:
+        if cur.bit_count() <= best[0]:
             return
         for c in circuits:
             if c & cur == c:
                 for e in bits_of(c):
                     rec(cur & ~(1 << e))
                 return
-        best[0] = popcount(cur)
+        best[0] = cur.bit_count()
         best[1] = cur
 
     rec(ground)
@@ -260,10 +259,10 @@ def _oracle_scan(m: Matroid, k_prime: int | None = None) -> dict[int, tuple[int,
         if kp not in best:
             continue
         ground = m.ground & ~f
-        if popcount(ground) <= best[kp][0]:
+        if ground.bit_count() <= best[kp][0]:
             continue
         keep = _max_circuit_free(ground, _small_circuits(minor(m, f, 0), kp))
-        size = popcount(keep)
+        size = keep.bit_count()
         if size > best[kp][0]:
             best[kp] = (size, _verified(m, MinorWitness(f, ground & ~keep, kp, size)))
     return best

@@ -13,20 +13,17 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
-from .matroid import _RANK_BATCH, Matroid
+from .matroid import _FLATS_LIMIT, _RANK_BATCH, Matroid
 from .subsets import (
     format_indices,
     full_mask,
     mask_of,
     parse_indices,
-    popcount,
     popcount_array,
 )
 
 if TYPE_CHECKING:
     import numpy as np
-
-_MR_FLATS_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,9 @@ def make_params(n: int, k: int, r: int, partition=None) -> MrParams:
         raise ParameterError(f"malformed partition: expected {g} repair sets, got {len(blocks)}")
     union = 0
     for b in blocks:
-        if popcount(b) != r + 1:
+        if b.bit_count() != r + 1:
             raise ParameterError(
-                f"malformed partition: repair set {format_indices(b)} has size {popcount(b)}, expected {r + 1}"
+                f"malformed partition: repair set {format_indices(b)} has size {b.bit_count()}, expected {r + 1}"
             )
         if union & b:
             raise ParameterError("malformed partition: repair sets overlap")
@@ -122,7 +119,7 @@ class MrMatroid(Matroid):
     def rank(self, x: int) -> int:
         self._check_subset(x)
         full = sum(1 for b in self.params.repair_sets if x & b == b)
-        return min(self.params.k, popcount(x) - full)
+        return min(self.params.k, x.bit_count() - full)
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -146,8 +143,8 @@ def mr_flats(m: MrMatroid) -> list[int]:
     closure-scan flats of the generic machinery.
     """
     p = m.params
-    if p.n > _MR_FLATS_LIMIT:
-        raise SizeRefusal(f"mr_flats enumerates 2^{p.n} subsets; limit is n <= {_MR_FLATS_LIMIT}")
+    if p.n > _FLATS_LIMIT:
+        raise SizeRefusal(f"mr_flats enumerates 2^{p.n} subsets; limit is n <= {_FLATS_LIMIT}")
     import numpy as np
 
     out = []
@@ -165,7 +162,7 @@ def mr_flats(m: MrMatroid) -> list[int]:
     e = m.ground
     if e not in out:
         out.append(e)
-    out.sort(key=lambda s: (popcount(s), s))
+    out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
 

@@ -49,10 +49,6 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def lowest_bits(mask: int, t: int) -> int:
     """Mask of the t smallest members of mask."""
     out = 0
@@ -99,7 +95,7 @@ def mask_batches(mask: int, t: int, size: int) -> Iterator[np.ndarray]:
     ascending, then by low subset, then by high subset, each in
     combinations-of-ascending-bits order.  Scans of at most _SPLIT_MIN
     masks use no split and come out in masks_of_size order.  Each table
-    holds at most C(popcount, t) masks and each block at most
+    holds at most C(|mask|, t) masks and each block at most
     max(_BLOCK, C(16, 8)) masks, copied into the batch being filled, so
     memory stays near one batch.  A member at bit 63 overflows int64
     (OverflowError).

@@ -144,7 +144,7 @@ def test_acceptance_6_field_size_bounds(capfd):
         t = threshold_report(p)
         if t.near_boundary:
             boundary_rows += 1
-        elif not t.consistent:
+        elif t.improves != (t.rate <= t.threshold):
             inconsistent.append((n, k, r))
     ok &= not inconsistent
     _report(capfd, 6, ok, f"{boundary_rows} boundary rows reported, not asserted")

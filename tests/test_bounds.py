@@ -24,7 +24,7 @@ from mrlrc.bounds import (
     sweep,
     threshold_report,
 )
-from mrlrc.errors import ParameterError
+from mrlrc.errors import ParameterError, SizeRefusal
 from mrlrc.mr import make_params, valid_param_triples
 
 
@@ -176,6 +176,18 @@ def test_q_conjectural_exception_flag():
     assert found
 
 
+def test_families_past_2000_ranks_are_refused():
+    # eq3 lists r - 2 sizes and eq4 k - r - 1; 2,000 of either is the most a report lists
+    assert len(compute_bounds(make_params(4006, 2003, 2002)).eq3_sizes) == 2000
+    assert len(compute_bounds(make_params(4006, 2002, 1)).eq4_sizes) == 2000
+    with pytest.raises(SizeRefusal, match="eq3 size of each of 2001 ranks"):
+        q_lower_conjectural(make_params(4008, 2004, 2003))
+    with pytest.raises(SizeRefusal, match="eq3 size of each of 2001 ranks"):
+        compute_bounds(make_params(4008, 2004, 2003))
+    with pytest.raises(SizeRefusal, match="eq4 size of each of 2001 ranks"):
+        compute_bounds(make_params(4008, 2003, 1))
+
+
 def test_gopi_alpha_values():
     assert gopi_alpha(make_params(40, 7, 3)) == Fraction(1, 3)
     assert gopi_alpha(make_params(8, 6, 3)) is None  # h = 0
@@ -198,7 +210,7 @@ def test_threshold_prediction_exact_off_boundary():
             continue
         t = threshold_report(make_params(n, k, r))
         if not t.near_boundary:
-            assert t.consistent, (n, k, r)
+            assert t.improves == (t.rate <= t.threshold), (n, k, r)
 
 
 def test_threshold_boundary_rows_are_ties():
@@ -208,7 +220,7 @@ def test_threshold_boundary_rows_are_ties():
     p = make_params(40, 18, 3)  # rate 9/20 == threshold
     t = threshold_report(p)
     assert t.near_boundary
-    assert t.q_unconditional == t.q_gopalan
+    assert q_lower_unconditional(p) == q_lower_gopalan(p)
 
 
 def test_compute_bounds_report_text():

@@ -230,6 +230,19 @@ def test_code_shorten_puncture_pipeline(capsys, tmp_path):
     assert "MDS: true" in out
 
 
+def test_code_shorten_and_puncture_text_pinned(capsys, tmp_path):
+    # the seed-7 (8,4,3) code over GF(13), shortened at column 0, then punctured at 0,3
+    mat, shortened = tmp_path / "code.txt", tmp_path / "s.txt"
+    run(capsys, "code", "search", "8,4,3", "--field", "13", "--seed", "7", "--trials", "200", "--out", str(mat))
+    code, out, _ = run(capsys, "code", "shorten", str(mat), "--cols", "0")
+    assert code == 0
+    assert out == "field 13\n3 7\n5 5 3 12 1 0 0\n12 8 6 12 0 1 0\n3 11 12 12 0 0 1\n"
+    shortened.write_text(out)
+    code, out, _ = run(capsys, "code", "puncture", str(shortened), "--cols", "0,3")
+    assert code == 0
+    assert out == "field 13\n3 5\n5 3 1 0 0\n8 6 0 1 0\n11 12 0 0 1\n"
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "code", "check", str(tmp_path / "nope.txt"))
     assert code == 2
@@ -397,6 +410,32 @@ def test_wide_code_checks_are_refused_at_once(tmp_path, capsys):
     counts += ["n=200000 code; limit is n <= 64", "n=131072 code; limit is n <= 64"]
     for argv, count in zip(runs, counts):
         assert count in run(capsys, *argv)[2]
+
+
+def test_sweep_from_a_huge_negative_n_min_answers_at_once(tmp_path):
+    # the scan starts at n = r + 1, the least n that holds a repair set
+    out, ref = tmp_path / "far.csv", tmp_path / "ref.csv"
+    got = _timed_runs([
+        ["sweep", "7", "3", "-100000000000", "60", "--out", str(out)],
+        ["sweep", "7", "3", "1", "60", "--out", str(ref)],
+    ])
+    assert [code for code, _ in got] == [0, 0]
+    assert got[0][1] < 1, got
+    assert out.read_text().splitlines()[1:] == ref.read_text().splitlines()[1:]
+
+
+def test_bounds_with_huge_families_are_refused_at_once(capsys):
+    # eq4 lists k - r - 1 sizes: 9,999,998 and about 10^12 here, past the limit of 2,000
+    got = _timed_runs([
+        ["bounds", "20000000,10000000,1"],
+        ["bounds", "2000000000000,1000000000000,1"],
+        ["bounds", "400000,5,1"],
+    ])
+    assert [code for code, _ in got] == [4, 4, 0]
+    assert all(seconds < 1 for _, seconds in got), got
+    code, out, err = run(capsys, "bounds", "20000000,10000000,1")
+    assert (code, out) == (4, "")
+    assert "eq4 size of each of 9999998 ranks k'; limit is 2000" in err
 
 
 def test_huge_n_answers_bounds_without_building_repair_sets():

@@ -13,10 +13,8 @@ from mrlrc.codes import (
     is_mds_code,
     is_mr_lrc,
     matrix_from_rows,
-    puncture,
     read_matrix,
     search_mr_code,
-    shorten,
     shorten_then_puncture,
     write_matrix,
 )
@@ -229,7 +227,7 @@ def test_puncture_matches_deletion():
     gm = search_mr_code(make_params(8, 4, 3), FieldSpec(13), trials=200, seed=7)
     lm = code_to_matroid(gm)
     x = mask_of([0, 4])
-    pm = code_to_matroid(puncture(gm, x))
+    pm = code_to_matroid(shorten_then_puncture(gm, 0, x))
     dv = minor(lm, 0, x)
     survivors = bits_of(lm.ground & ~x)
     for s in submasks(dv.ground):
@@ -244,7 +242,7 @@ def test_shorten_matches_contraction():
     gm = search_mr_code(make_params(8, 4, 3), FieldSpec(13), trials=200, seed=7)
     lm = code_to_matroid(gm)
     x = mask_of([0, 4])
-    sm = code_to_matroid(shorten(gm, x))
+    sm = code_to_matroid(shorten_then_puncture(gm, x, 0))
     cv = minor(lm, x, 0)
     assert sm.gm.k == gm.k - lm.rank(x)
     survivors = bits_of(lm.ground & ~x)
@@ -275,9 +273,9 @@ def test_shorten_then_puncture_overlap_error():
     for f, x in ((1 << 6, 0), (0, 1 << 6), (0b1, 1 << 9)):
         with pytest.raises(ParameterError, match=r"outside \[n\]"):
             shorten_then_puncture(gm, f, x)
-    for op in (shorten, puncture):
+    for f, x in ((0b1 | 1 << 6, 0), (0, 0b1 | 1 << 6)):
         with pytest.raises(ParameterError, match=r"outside \[n\]"):
-            op(gm, 0b1 | 1 << 6)
+            shorten_then_puncture(gm, f, x)
 
 
 def _shorten_relabel_puncture(gm, f, x):
@@ -326,8 +324,8 @@ def test_minor_matches_shorten_relabel_puncture():
                 pairs = [(f, rng.getrandbits(n) & ~f) for f in (rng.getrandbits(n) for _ in range(40))]
             for f, x in pairs:
                 assert shorten_then_puncture(gm, f, x) == _shorten_relabel_puncture(gm, f, x), (text, f, x)
-                assert shorten(gm, f) == _shorten_relabel_puncture(gm, f, 0)
-                assert puncture(gm, x) == _shorten_relabel_puncture(gm, 0, x)
+                assert shorten_then_puncture(gm, f, 0) == _shorten_relabel_puncture(gm, f, 0)
+                assert shorten_then_puncture(gm, 0, x) == _shorten_relabel_puncture(gm, 0, x)
 
 
 def _mds_by_combinations(gm, rank):
@@ -457,7 +455,7 @@ def test_shorten_pinned_extension_field():
         [9, 1, 4, 0, 77, 0, 150, 3],
     ]
     gm = matrix_from_rows(FieldSpec(2, 8, 285), rows)
-    assert write_matrix(shorten(gm, mask_of([0, 2]))) == (
+    assert write_matrix(shorten_then_puncture(gm, mask_of([0, 2]), 0)) == (
         "field 2^8 modulus=285\n"
         "2 6\n"
         "7 19 200 1 0 255\n"

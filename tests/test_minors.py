@@ -29,7 +29,7 @@ from mrlrc.bounds import (
     eq4_size,
     largest_uniform_size,
 )
-from mrlrc.subsets import mask_of, popcount, submasks
+from mrlrc.subsets import mask_of, submasks
 
 
 def test_witness_line_roundtrip():
@@ -51,7 +51,7 @@ def test_eq1_witness_small():
     w = witness_eq1(m)
     assert w.verified
     assert w.contract_flat == 0
-    assert popcount(w.delete_set) == m.params.g
+    assert w.delete_set.bit_count() == m.params.g
     assert w.claimed_size == eq1_size(m.params) == 6
     assert w.target_rank == 4
 
@@ -272,7 +272,7 @@ def test_oracle_witnesses_verify():
         size, w = oracle_max_uniform(m, kp)
         assert w is not None
         assert verify_witness(m, w)
-        assert popcount(m.ground) - popcount(w.contract_flat) - popcount(w.delete_set) == size
+        assert m.ground.bit_count() - w.contract_flat.bit_count() - w.delete_set.bit_count() == size
 
 
 def test_oracle_is_genuine_maximum():
@@ -291,11 +291,11 @@ def _unrestricted_max_uniform(m, k_prime):
         if m.rank(c) != k0 - k_prime:
             continue
         ground = m.ground & ~c
-        if popcount(ground) <= best or popcount(ground) < k_prime:
+        if ground.bit_count() <= best or ground.bit_count() < k_prime:
             continue
         view = minor(m, c, 0)
         keep = _max_circuit_free(ground, _small_circuits(view, k_prime))
-        size = popcount(keep)
+        size = keep.bit_count()
         if size >= k_prime:
             best = max(best, size)
     return best

@@ -13,7 +13,7 @@ from mrlrc.mr import (
     parse_params,
     valid_param_triples,
 )
-from mrlrc.subsets import mask_of, masks_of_size, popcount, submasks
+from mrlrc.subsets import mask_of, masks_of_size, submasks
 
 
 def test_make_params_derived_values():
@@ -52,7 +52,7 @@ def test_parse_params_roundtrip():
 
 def _rank_direct_sum(m, x):
     """Alternate rank form: truncation at k of per-repair-set uniform ranks."""
-    total = sum(min(popcount(x & b), m.params.r) for b in m.params.repair_sets)
+    total = sum(min((x & b).bit_count(), m.params.r) for b in m.params.repair_sets)
     return min(m.params.k, total)
 
 
@@ -103,7 +103,7 @@ def test_mr_flats_never_meet_repair_set_in_r():
         if f == m.ground:
             continue
         for b in m.params.repair_sets:
-            assert popcount(f & b) != m.params.r
+            assert (f & b).bit_count() != m.params.r
 
 
 def test_information_set_property():

@@ -14,7 +14,6 @@ from mrlrc.subsets import (
     mask_of,
     masks_of_size,
     parse_indices,
-    popcount,
     popcount_array,
     submasks,
 )
@@ -23,7 +22,7 @@ from mrlrc.subsets import (
 def test_mask_roundtrip():
     m = mask_of([0, 3, 5])
     assert bits_of(m) == [0, 3, 5]
-    assert popcount(m) == 3
+    assert m.bit_count() == 3
     assert parse_indices(format_indices(m)) == m
     assert parse_indices("") == 0
     assert format_indices(0) == ""
@@ -57,7 +56,7 @@ def test_submasks_sorted_and_complete():
 def test_masks_of_size():
     got = list(masks_of_size(0b1111, 2))
     assert len(got) == 6
-    assert all(popcount(m) == 2 for m in got)
+    assert all(m.bit_count() == 2 for m in got)
 
 
 def _masks_of_size_loop(mask, t):
@@ -78,10 +77,10 @@ def test_masks_of_size_matches_loop():
     masks = [mask_of(rng.sample(range(64), size)) for size in [*range(15), 20]]
     masks.append(full_mask(64) & ~full_mask(52))  # bits 52-63
     for mask in masks:
-        for t in range(popcount(mask) + 2):
+        for t in range(mask.bit_count() + 2):
             assert list(masks_of_size(mask, t)) == _masks_of_size_loop(mask, t), (mask, t)
         assert list(masks_of_size(mask, 0)) == [0]
-        assert list(masks_of_size(mask, popcount(mask) + 1)) == []
+        assert list(masks_of_size(mask, mask.bit_count() + 1)) == []
 
 
 def test_mask_batches_hold_masks_of_size():
@@ -89,7 +88,7 @@ def test_mask_batches_hold_masks_of_size():
     masks = [mask_of(rng.sample(range(63), size)) for size in [*range(21), 24]]
     masks.append(full_mask(63) & ~full_mask(47))  # bits 47-62
     for mask in masks:
-        p = popcount(mask)
+        p = mask.bit_count()
         for t in range(p + 2):
             count = comb(p, t)
             # masks_of_size hands out one Python int per mask (~0.3 us), so above
