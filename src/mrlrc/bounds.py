@@ -103,11 +103,6 @@ def q_lower_unconditional(p: MrParams) -> int:
     return max(_q_unconditional_raw(p), 2)
 
 
-def q_unconditional_is_vacuous(p: MrParams) -> bool:
-    """True when the raw formula value fell below 2 and was clamped."""
-    return _q_unconditional_raw(p) < 2
-
-
 @dataclass(frozen=True)
 class ConjecturalBound:
     """MDS-conjecture-based bound: n' - 1, with the even-q exceptional cases flagged."""
@@ -269,7 +264,7 @@ def compute_bounds(p: MrParams) -> BoundsReport:
         eq4_sizes={kp: eq4_size(p, kp) for kp in eq4_ranks},
         largest_uniform=best,
         q_unconditional=q_lower_unconditional(p),
-        q_unconditional_vacuous=q_unconditional_is_vacuous(p),
+        q_unconditional_vacuous=_q_unconditional_raw(p) < 2,
         q_conjectural=_conjectural(best, by_rank),
         q_gopalan=q_lower_gopalan(p),
         gopi_alpha=gopi_alpha(p),

@@ -76,17 +76,17 @@ def cmd_flats(args) -> int:
 
 def cmd_witness(args) -> int:
     m = _load(args.params)
+    if args.eq in (3, 4) and args.kprime is None:
+        print(f"--eq {args.eq} requires --kprime", file=sys.stderr)
+        return EXIT_USAGE
+    if args.eq not in (3, 4) and args.kprime is not None:
+        print("--kprime goes with --eq 3 or --eq 4 only", file=sys.stderr)
+        return EXIT_USAGE
     if args.verify is not None:
         w = MinorWitness.from_line(args.verify)
         ok = verify_witness(m, w)
         print(f"verified={str(ok).lower()}")
         return EXIT_OK if ok else 1
-    if args.eq is None:
-        print("one of --eq or --verify is required", file=sys.stderr)
-        return EXIT_USAGE
-    if args.eq in (3, 4) and args.kprime is None:
-        print(f"--eq {args.eq} requires --kprime", file=sys.stderr)
-        return EXIT_USAGE
     if args.eq == 1:
         w = witness_eq1(m)
     elif args.eq == 2:
@@ -178,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="construct or verify a uniform-minor witness")
     p.add_argument("params")
-    p.add_argument("--eq", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--kprime", type=int)
-    p.add_argument("--verify", metavar="LINE", help="re-verify a serialized witness line")
+    how = p.add_mutually_exclusive_group(required=True)
+    how.add_argument("--eq", type=int, choices=(1, 2, 3, 4))
+    how.add_argument("--verify", metavar="LINE", help="re-verify a serialized witness line")
+    p.add_argument("--kprime", type=int, help="the minor's rank, with --eq 3 or --eq 4")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("oracle", help="exhaustive largest-uniform-minor search")

@@ -4,7 +4,7 @@ Field elements are canonical integers: the polynomial coefficients over
 GF(p) packed little-endian in base p (so for p = 2 an element is just the
 bit pattern of its polynomial).  Extension moduli are encoded the same way
 and must be monic and irreducible; irreducibility is verified by trial
-division at construction.
+division at construction, and a spec without a modulus takes the least one.
 
 Arithmetic runs on log/antilog/Zech-logarithm tables, built once per field
 on its first use (the table technique of Plank, Greenan and Miller, FAST
@@ -22,14 +22,6 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 MAX_Q = 1 << 16
-
-# convenience moduli for the common small extensions
-BUILTIN_MODULI = {
-    (2, 2): 0b111,      # x^2 + x + 1
-    (2, 3): 0b1011,     # x^3 + x + 1
-    (2, 4): 0b10011,    # x^4 + x + 1
-    (3, 2): 10,         # x^2 + 1
-}
 
 
 def is_prime(p: int) -> bool:
@@ -104,6 +96,11 @@ def _is_irreducible(mod: int, p: int, m: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
+    """GF(p^m), p^m <= 2^16.  An extension's modulus, if given, must be monic
+    of degree m and irreducible; without one it is the least such polynomial
+    in the base-p encoding (x^4 + x + 1 = 19 for 2^4, 37 for 2^5, 283 for 2^8).
+    """
+
     p: int
     m: int = 1
     modulus: int | None = None
@@ -121,14 +118,13 @@ class FieldSpec:
             if self.modulus is not None:
                 raise ParameterError("prime fields take no modulus")
             return
-        mod = self.modulus
-        if mod is None:
-            mod = BUILTIN_MODULI.get((self.p, self.m))
-            if mod is None:
-                raise ParameterError(
-                    f"no built-in modulus for GF({self.p}^{self.m}); supply one explicitly"
-                )
+        if self.modulus is None:
+            # every degree has an irreducible (Lidl and Niederreiter, ch. 3),
+            # so the search ends below 2 p^m
+            mod = next(c for c in range(self.q, 2 * self.q) if _is_irreducible(c, self.p, self.m))
             object.__setattr__(self, "modulus", mod)
+            return
+        mod = self.modulus
         # monic of degree m: leading digit 1 at p^m, lower digits below p^m
         if not self.q <= mod < 2 * self.q:
             raise ParameterError(f"modulus {mod} is not monic of degree {self.m} over GF({self.p})")
@@ -146,7 +142,7 @@ class FieldSpec:
 
 
 def parse_field(text: str) -> FieldSpec:
-    """Parse "13", "2^4" (built-in modulus) or "2^4:19"."""
+    """Parse "13", "2^4" (the least irreducible modulus of degree 4) or "2^4:19"."""
     text = text.strip()
     modulus = None
     if ":" in text:
@@ -244,9 +240,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
 
 def _eliminate(field: Field, rows, cols):

@@ -257,13 +257,12 @@ def is_uniform(m: Matroid):
     k = rank(E) has full rank.  The k-subset masks come from mask_batches
     as numpy batches of _RANK_BATCH masks, built by ORs of half-tables, one
     rank_array call each, so memory is bounded by about one batch and the
-    scan stops at the first batch with a rank-deficient subset.  Refuses
-    above _UNIFORM_LIMIT = 2^26 k-subsets.
+    scan stops at the first batch with a rank-deficient subset.  A rank-0
+    matroid needs no case of its own: its one 0-subset, the empty set, has
+    rank 0, so it is U_t^0.  Refuses above _UNIFORM_LIMIT = 2^26 k-subsets.
     """
     t = m.ground_size
     k = m.full_rank()
-    if k == 0:
-        return (t, 0)
     work = comb(t, k)
     if work > _UNIFORM_LIMIT:
         raise SizeRefusal(

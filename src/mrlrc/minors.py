@@ -148,15 +148,15 @@ def _spread(p, need_total: int, cap: int) -> int | None:
     """Contract set of rank need_total: j whole repair sets plus a spread.
 
     The spread takes at most `cap` lowest elements of each following block;
-    j is the least count for which it fits.  None when no j fits or that j
-    already overshoots need_total.
+    j is the least count for which it fits.  Some j <= g - 1 always fits:
+    there the test reads k <= g r for eq3 (cap r - k') and k - k' <= g r - 1
+    for eq4 (cap r - 1), both implied by make_params.  None when that j
+    already overshoots need_total (the eq3 gap cases).
     """
     for j in range(p.g):
         need = need_total - j * p.r
         if need <= (p.g - j) * cap:
             break
-    else:
-        return None
     if need < 0:
         return None
     f = 0

@@ -19,7 +19,6 @@ from mrlrc.bounds import (
     q_lower_conjectural,
     q_lower_gopalan,
     q_lower_unconditional,
-    q_unconditional_is_vacuous,
     rate_threshold,
     sweep,
     threshold_report,
@@ -144,7 +143,7 @@ def test_q_unconditional_clamp_and_vacuous_flag():
         assert _q_unconditional_raw(p) == raw, (n, k, r)
         q = q_lower_unconditional(p)
         assert q == max(raw, 2)
-        assert q_unconditional_is_vacuous(p) == (raw < 2)
+        assert compute_bounds(p).q_unconditional_vacuous == (raw < 2)
 
 
 def test_q_conjectural():

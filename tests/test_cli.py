@@ -11,7 +11,10 @@ from mrlrc.minors import MinorWitness
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors, as the shell would see them
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -58,9 +61,22 @@ def test_witness_eq3_boundary_flag(capsys):
 def test_witness_usage_errors(capsys):
     code, _, err = run(capsys, "witness", "8,4,3")
     assert code == 2
+    assert "one of the arguments --eq --verify is required" in err
     code, _, err = run(capsys, "witness", "8,4,3", "--eq", "3")
     assert code == 2
-    assert "--kprime" in err
+    assert "--eq 3 requires --kprime" in err
+    code, _, err = run(capsys, "witness", "8,4,3", "--eq", "4")
+    assert code == 2
+    assert "--eq 4 requires --kprime" in err
+    # --eq 1 with --verify used to verify silently, and a stray --kprime was ignored
+    line = "F=; X=0,4; k'=4; n'=6; verified=true; boundary=false"
+    code, out, err = run(capsys, "witness", "8,4,3", "--eq", "1", "--verify", line)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+    for argv in (("--eq", "1"), ("--eq", "2"), ("--verify", line)):
+        code, out, err = run(capsys, "witness", "8,4,3", *argv, "--kprime", "2")
+        assert (code, out) == (2, ""), argv
+        assert "--kprime goes with --eq 3 or --eq 4 only" in err
 
 
 def test_oracle_command(capsys):
@@ -241,6 +257,29 @@ def test_code_shorten_and_puncture_text_pinned(capsys, tmp_path):
     code, out, _ = run(capsys, "code", "puncture", str(shortened), "--cols", "0,3")
     assert code == 0
     assert out == "field 13\n3 5\n5 3 1 0 0\n8 6 0 1 0\n11 12 0 0 1\n"
+
+
+def test_code_puncture_at_every_column_is_checked(capsys, tmp_path):
+    # the [0,4] minor's four empty rows are blank lines; check used to read none of them (exit 2)
+    mat, punctured = tmp_path / "code.txt", tmp_path / "p.txt"
+    run(capsys, "code", "search", "8,4,3", "--field", "13", "--seed", "7", "--trials", "200", "--out", str(mat))
+    code, _, _ = run(capsys, "code", "puncture", str(mat), "--cols", "0,1,2,3,4,5,6,7", "--out", str(punctured))
+    assert code == 0
+    assert punctured.read_text() == "field 13\n4 0\n\n\n\n\n"
+    code, out, _ = run(capsys, "code", "check", str(punctured))
+    assert (code, out) == (5, "MDS: false\n")
+
+
+def test_code_search_over_any_extension_field(capsys, tmp_path):
+    # GF(2^5) takes its least irreducible modulus, x^5 + x^2 + 1 = 37
+    mat = tmp_path / "f5.txt"
+    code, _, _ = run(
+        capsys, "code", "search", "8,4,3", "--field", "2^5", "--seed", "1", "--trials", "50", "--out", str(mat)
+    )
+    assert code == 0
+    assert mat.read_text().splitlines()[0] == "field 2^5 modulus=37"
+    code, out, _ = run(capsys, "code", "check", str(mat), "--mr", "8,4,3")
+    assert (code, out) == (0, "MR: true\n")
 
 
 def test_missing_file_exit_code(capsys, tmp_path):

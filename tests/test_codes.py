@@ -414,6 +414,21 @@ def test_matrix_io_roundtrip():
         assert back == gm
 
 
+def test_matrix_io_roundtrip_of_every_minor_shape():
+    # minors with no rows or no columns included: an n = 0 matrix's rows are blank lines
+    rng = random.Random(19)
+    for text in ("13", "2^8:285"):
+        spec = parse_field(text)
+        for n in range(1, 9):
+            gm = _random_matrix(rng, spec, n)
+            full = (1 << n) - 1
+            f = rng.getrandbits(n)
+            pairs = [(full, 0), (0, full), (f, full & ~f), (f, 0), (0, f), (f, rng.getrandbits(n) & ~f)]
+            for f, x in pairs:
+                sub = shorten_then_puncture(gm, f, x)
+                assert read_matrix(write_matrix(sub)) == sub, (text, n, f, x)
+
+
 def test_read_matrix_errors():
     with pytest.raises(ValueError):
         read_matrix("just one line")

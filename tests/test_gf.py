@@ -4,7 +4,7 @@ import pytest
 
 from mrlrc.errors import ParameterError
 from mrlrc.gf import (
-    BUILTIN_MODULI,
+    MAX_Q,
     Field,
     FieldSpec,
     _is_irreducible,
@@ -40,14 +40,14 @@ def test_field_spec_validation():
         FieldSpec(2, 3, modulus=0b111)  # degree 2, not 3
     with pytest.raises(ParameterError):
         FieldSpec(3, 2, modulus=2 * 9 + 1)  # 2x^2 + 1 is not monic
-    with pytest.raises(ParameterError):
-        FieldSpec(2, 5)  # no built-in modulus for 2^5
 
 
 def test_builtin_moduli_fill_in():
     spec = FieldSpec(2, 4)
-    assert spec.modulus == BUILTIN_MODULI[(2, 4)] == 0b10011
+    assert spec.modulus == 0b10011
     assert spec.q == 16
+    # any degree has a default modulus: x^5 + x^2 + 1
+    assert FieldSpec(2, 5).modulus == 37
 
 
 def test_parse_field():
@@ -71,7 +71,7 @@ def test_prime_field_arithmetic():
     assert f.sub(2, 5) == 4
     assert f.mul(3, 5) == 1
     assert f.inv(3) == 5
-    assert f.div(1, 3) == 5
+    assert f.mul(1, f.inv(3)) == 5
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     with pytest.raises(ValueError):
@@ -275,7 +275,7 @@ def test_tables_match_reference_on_random_pairs(spec):
         # inverses are unique, so this equals _ref_inv without its q - 2 power
         if b:
             assert _ref_mul(spec, f.inv(b), b) == 1, b
-            assert _ref_mul(spec, f.div(a, b), b) == a, (a, b)
+            assert _ref_mul(spec, f.mul(a, f.inv(b)), b) == a, (a, b)
 
 
 def _ref_poly_mul(a: int, b: int, p: int) -> int:
@@ -308,6 +308,25 @@ def test_irreducibility_matches_reference(p, max_deg):
             except ParameterError:
                 accepted = False
             assert accepted == (mod not in reducible), (p, m, mod)
+
+
+def _ref_has_factor(mod: int, p: int, m: int) -> bool:
+    """Trial division of a monic degree-m polynomial by every monic one of degree 1..m//2."""
+    return any(
+        _ref_poly_mod(mod, p**d + tail, p) == 0 for d in range(1, m // 2 + 1) for tail in range(p**d)
+    )
+
+
+def test_default_modulus_is_the_least_irreducible():
+    # the former hand-written table: x^2+x+1, x^3+x+1, x^4+x+1 over GF(2) and x^2+1 over GF(3)
+    assert [FieldSpec(p, m).modulus for p, m in [(2, 2), (2, 3), (2, 4), (3, 2)]] == [7, 11, 19, 10]
+    assert FieldSpec(2, 8).modulus == 283
+    fields = [(p, m) for p in range(2, 257) if is_prime(p) for m in range(2, 17) if p**m <= MAX_Q]
+    assert len(fields) == 93
+    for p, m in fields:
+        mod = FieldSpec(p, m).modulus
+        assert not _ref_has_factor(mod, p, m), (p, m, mod)
+        assert all(_ref_has_factor(c, p, m) for c in range(p**m, mod)), (p, m, mod)
 
 
 def test_binary_poly_mod_matches_digit_routine():

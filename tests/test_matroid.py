@@ -375,6 +375,14 @@ def test_is_uniform_minor_after_transversal_deletion():
     assert is_uniform(view) == (6, 4)
 
 
+def test_is_uniform_rank_zero_view():
+    # contracting a spanning set leaves U_4^0: the scan ranks the one 0-subset, the empty set
+    m = make_mr(8, 4, 3)
+    view = minor(m, mask_of([0, 1, 2, 4]), 0)
+    assert view.full_rank() == 0
+    assert is_uniform(view) == (4, 0) == _is_uniform_by_definition(view)
+
+
 def _is_uniform_by_definition(m):
     """Definition-level check: rank(X) = min(|X|, rank(E)) for every subset."""
     k = m.full_rank()

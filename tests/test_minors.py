@@ -196,10 +196,16 @@ def test_eq4_spread_always_fits():
     # k - k' <= (g-1)r - 1, so a whole-set count fits and the minimal one never overshoots
     for n, k, r in valid_param_triples(64):
         m = make_mr(n, k, r)
+        g = m.params.g
         for kp in eq4_range(m.params):
             f = _spread(m.params, k - kp, r - 1)
             assert f is not None, (n, k, r, kp)
             assert m.rank(f) == k - kp, (n, k, r, kp)
+        # eq3 too: k <= g r, so some j <= g - 1 fits; only an overshoot (a gap case) gives None
+        for kp in eq3_range(m.params):
+            assert any(k - kp - j * r <= (g - j) * (r - kp) for j in range(g)), (n, k, r, kp)
+            f = _spread(m.params, k - kp, r - kp)
+            assert f is None or m.rank(f) == k - kp, (n, k, r, kp)
 
 
 def test_verify_witness_rejects_tampering():
