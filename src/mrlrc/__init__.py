@@ -33,7 +33,6 @@ from .matroid import (
     MinorView,
     TableMatroid,
     check_axioms,
-    closure,
     flats,
     is_uniform,
     minor,

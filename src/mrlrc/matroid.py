@@ -8,7 +8,9 @@ checking and flats rank each of the 2^t subsets of the t-element ground
 once, in one table indexed by dense index (bit j of an index is the j-th
 ground member), so their memory is 2^t whatever the highest member; both
 walk that table the same way, through reshaped views whose axes are bits
-of the index.  Uniformity ranks the k-subsets in batches.
+of the index.  Uniformity ranks the k-subsets in batches.  Closure is a
+method, `Matroid.closure`: the generic rank scan here, which a matroid
+with a closed form (`mr.MrMatroid`) overrides.
 """
 
 from __future__ import annotations
@@ -57,6 +59,21 @@ class Matroid:
 
     def full_rank(self) -> int:
         return self.rank(self.ground)
+
+    def closure(self, x: int) -> int:
+        """cl(x) = x together with every element whose addition keeps the rank.
+
+        The generic rule: one rank call per ground element outside x.
+        Views, linear and table matroids close by it; MrMatroid overrides
+        it with its closed form, which tests check against this scan.
+        """
+        self._check_subset(x)
+        r = self.rank(x)
+        out = x
+        for e in bits_of(self.ground & ~x):
+            if self.rank(x | (1 << e)) == r:
+                out |= 1 << e
+        return out
 
     def _check_subset(self, x: int) -> None:
         if x & ~self.ground:
@@ -216,18 +233,6 @@ def check_axioms(m: Matroid) -> AxiomReport:
             report.counterexamples["R3"] = (int(s[0, 1]), int(s[1, 0]))
             break
     return report
-
-
-def closure(m: Matroid, x: int) -> int:
-    """cl(x) = x together with every element whose addition keeps the rank."""
-    m._check_subset(x)
-    r = m.rank(x)
-    out = x
-    rest = m.ground & ~x
-    for e in bits_of(rest):
-        if m.rank(x | (1 << e)) == r:
-            out |= 1 << e
-    return out
 
 
 def flats(m: Matroid) -> list[int]:

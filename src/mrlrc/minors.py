@@ -32,7 +32,6 @@ from .bounds import eq1_size, eq2_size, eq3_size, eq4_size
 from .errors import ParameterError, SizeRefusal
 from .matroid import (
     Matroid,
-    closure,
     flats,
     is_uniform,
     minor,
@@ -90,14 +89,18 @@ class MinorWitness:
 
 
 def verify_witness(m: Matroid, w: MinorWitness) -> bool:
-    """Re-derive the certificate: flat, disjointness, size, and uniformity."""
+    """Re-derive the certificate: flat, disjointness, size, and uniformity.
+
+    Flatness comes from m's own closure rule (`Matroid.closure`, the
+    closed form for an MrMatroid), uniformity from is_uniform's rank scan.
+    """
     if w.contract_flat & w.delete_set:
         return False
     if (w.contract_flat | w.delete_set) & ~m.ground:
         return False
     if w.claimed_size != m.ground_size - w.contract_flat.bit_count() - w.delete_set.bit_count():
         return False
-    if closure(m, w.contract_flat) != w.contract_flat:
+    if m.closure(w.contract_flat) != w.contract_flat:
         return False
     view = minor(m, w.contract_flat, w.delete_set)
     return is_uniform(view) == (w.claimed_size, w.target_rank)

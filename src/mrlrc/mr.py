@@ -121,14 +121,55 @@ class MrMatroid(Matroid):
         full = sum(1 for b in self.params.repair_sets if x & b == b)
         return min(self.params.k, x.bit_count() - full)
 
+    def closure(self, x: int) -> int:
+        """cl(x) in closed form, with one pass over the repair sets.
+
+        When r(x) = k, cl(x) = E.  Otherwise |x| - #full < k, so adding e
+        outside x raises |x| by one and leaves the rank below the
+        truncation; it keeps the rank exactly when e completes a repair
+        set.  So cl(x) is x plus the one missing member of every repair
+        set b with |b - x| = 1.
+        """
+        if self.rank(x) == self.params.k:
+            return self.ground
+        out = x
+        for b in self.params.repair_sets:
+            rest = b & ~x
+            if rest & (rest - 1) == 0:  # at most one member missing
+                out |= rest
+        return out
+
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
+        """Vectorized rank, with the repair sets classified once per batch.
+
+        A mask holds the batch's AND (the members every mask shares) and
+        sits inside its OR, and no mask has more members than the largest
+        popcount p.  So a repair set inside the AND is full in every mask
+        and counts once; one not inside the OR, or with more than
+        p - |AND| members outside the AND, is full in no mask.  Only the
+        rest take the per-mask containment pass.  The result is the same
+        as ranking each mask alone.
+        """
         import numpy as np
 
-        full = np.zeros(len(masks), dtype=np.int64)
+        if not len(masks):
+            return np.zeros(0, dtype=np.int64)
+        size = popcount_array(masks)
+        bits = masks.view(np.uint64)
+        common = int(np.bitwise_and.reduce(bits))
+        spread = int(np.bitwise_or.reduce(bits))
+        room = int(size.max()) - common.bit_count()
+        whole, maybe = 0, []
         for b in self.params.repair_sets:
+            if b & common == b:
+                whole += 1
+            elif b & ~spread == 0 and (b & ~common).bit_count() <= room:
+                maybe.append(b)
+        rank = size - whole
+        for b in maybe:
             bb = np.int64(b)
-            full += (masks & bb) == bb
-        return np.minimum(self.params.k, popcount_array(masks) - full)
+            rank -= (masks & bb) == bb
+        return np.minimum(self.params.k, rank)
 
 
 def make_mr(n: int, k: int, r: int, partition=None) -> MrMatroid:

@@ -10,7 +10,6 @@ from mrlrc.errors import ParameterError, SizeRefusal
 from mrlrc.matroid import (
     TableMatroid,
     check_axioms,
-    closure,
     flats,
     is_uniform,
     minor,
@@ -185,18 +184,18 @@ def test_axioms_above_fourteen_elements():
 
 def test_closure_of_ground_is_ground():
     m = make_mr(8, 4, 3)
-    assert closure(m, m.ground) == m.ground
+    assert m.closure(m.ground) == m.ground
 
 
 def test_closure_of_partial_repair_set():
     m = make_mr(8, 4, 3)
     # three elements of the first repair set close up to the whole set
-    assert closure(m, 0b0111) == 0b1111
+    assert m.closure(0b0111) == 0b1111
 
 
 def test_closure_singleton_uniform():
     m = uniform_matroid(4, 2)
-    assert closure(m, 0b1) == 0b1
+    assert m.closure(0b1) == 0b1
 
 
 def test_closure_properties_random():
@@ -204,11 +203,11 @@ def test_closure_properties_random():
     m = make_mr(12, 5, 3)
     for _ in range(50):
         x = rng.getrandbits(12)
-        cx = closure(m, x)
+        cx = m.closure(x)
         assert x & ~cx == 0  # extensive
-        assert closure(m, cx) == cx  # idempotent
+        assert m.closure(cx) == cx  # idempotent
         y = x | rng.getrandbits(12)
-        assert cx & ~closure(m, y) == 0  # monotone
+        assert cx & ~m.closure(y) == 0  # monotone
 
 
 def test_flats_u32():
@@ -218,7 +217,7 @@ def test_flats_u32():
 
 def _reference_flats(m):
     """Scalar closure test on every ground subset, sorted by (size, mask)."""
-    return sorted((s for s in submasks(m.ground) if closure(m, s) == s), key=lambda s: (s.bit_count(), s))
+    return sorted((s for s in submasks(m.ground) if m.closure(s) == s), key=lambda s: (s.bit_count(), s))
 
 
 def test_flats_sorted_and_contain_ground():
@@ -326,10 +325,10 @@ def _flats_of_minor_check(m, f, x):
     E-f with A|f a flat of M.  Deletion of x: flats of M\\x must be exactly
     {F - x : F a flat of M}.
     """
-    if closure(m, f) != f:
+    if m.closure(f) != f:
         raise ParameterError("contraction set must be a flat of the matroid")
     direct_c = set(flats(minor(m, f, 0)))
-    via_m = {a for a in submasks(m.ground & ~f) if closure(m, a | f) == a | f}
+    via_m = {a for a in submasks(m.ground & ~f) if m.closure(a | f) == a | f}
     if direct_c != via_m:
         return False
     direct_d = set(flats(minor(m, 0, x)))

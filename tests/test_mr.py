@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mrlrc.errors import ParameterError, SizeRefusal
-from mrlrc.matroid import check_axioms, flats
+from mrlrc.matroid import Matroid, check_axioms, flats, minor
+from mrlrc.minors import MinorWitness, verify_witness
 from mrlrc.mr import (
     MrMatroid,
     make_mr,
@@ -13,7 +14,7 @@ from mrlrc.mr import (
     parse_params,
     valid_param_triples,
 )
-from mrlrc.subsets import mask_of, masks_of_size, submasks
+from mrlrc.subsets import mask_batches, mask_of, masks_of_size, submasks
 
 
 def test_make_params_derived_values():
@@ -63,14 +64,77 @@ def test_rank_formulas_agree():
             assert m.rank(x) == _rank_direct_sum(m, x), (n, k, r, x)
 
 
+def _seeded_partition(rng, n, r):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [mask_of(perm[i : i + r + 1]) for i in range(0, n, r + 1)]
+
+
+def _assert_rank_array(m, masks):
+    """rank_array of one batch equals the scalar rank of each mask."""
+    masks = np.asarray(masks, dtype=np.int64)
+    got = m.rank_array(masks)
+    assert got.dtype == np.int64 and got.shape == masks.shape
+    assert got.tolist() == [m.rank(int(x)) for x in masks]
+
+
 def test_rank_array_matches_scalar():
     m = make_mr(12, 7, 3)
-    masks = np.arange(1 << 12, dtype=np.int64)
+    masks = np.arange(1 << 12, dtype=np.int64)  # AND = 0, OR = ground: no set is skipped
     arr = m.rank_array(masks)
+    assert arr.tolist() == [m.rank(x) for x in range(1 << 12)]
     rng = random.Random(5)
-    for _ in range(200):
-        x = rng.getrandbits(12)
-        assert int(arr[x]) == m.rank(x)
+    for n, k, r in [(12, 7, 3), (18, 16, 8), (40, 20, 3), (48, 21, 15), (63, 40, 2), (63, 9, 8)]:
+        for partition in (None, _seeded_partition(rng, n, r)):
+            m = make_mr(n, k, r, partition)
+            sets = m.params.repair_sets
+            # random masks of every density, small ones included
+            _assert_rank_array(m, [rng.getrandbits(n) & rng.getrandbits(n) >> rng.randrange(n) for _ in range(300)])
+            # a common core of whole repair sets and a partial one: some sets are always full
+            core = sets[0] | sets[-1] | (sets[1] & (sets[1] - 1))
+            _assert_rank_array(m, [core | rng.getrandbits(n) for _ in range(300)])
+            # one member of every other repair set is never held: those sets are never full
+            drop = 0
+            for b in sets[::2]:
+                drop |= 1 << rng.choice([e for e in range(n) if b >> e & 1])
+            _assert_rank_array(m, [rng.getrandbits(n) & ~drop for _ in range(300)])
+            # batches through a minor view and a view of a view, as is_uniform ranks them
+            c = sets[0] | (sets[1] & (sets[1] - 1))
+            d = drop & ~c
+            view = minor(m, c, d)
+            inner = minor(view, sets[-1] & ~d & view.ground, 0)
+            for v in (view, inner):
+                t = min(3, v.full_rank())
+                for i, batch in enumerate(mask_batches(v.ground, t, 97)):
+                    _assert_rank_array(v, batch)
+                    if i == 4:
+                        break
+            # a one-mask batch and an empty batch
+            _assert_rank_array(m, [rng.getrandbits(n)])
+            _assert_rank_array(m, [])
+
+
+def test_closure_closed_form_matches_rank_scan():
+    """MrMatroid.closure equals the generic scan on every subset, n <= 12."""
+    rng = random.Random(21)
+    count = 0
+    for n, k, r in valid_param_triples(12):
+        for partition in (None, _seeded_partition(rng, n, r)):
+            m = make_mr(n, k, r, partition)
+            for x in range(1 << n):
+                assert m.closure(x) == Matroid.closure(m, x), (n, k, r, partition, x)
+            count += 1
+    assert count == 90
+    with pytest.raises(ValueError):
+        make_mr(8, 4, 3).closure(1 << 8)
+
+
+def test_verify_witness_rejects_non_flat_on_seeded_partition():
+    m = make_mr(8, 4, 3, partition=[mask_of([0, 2, 4, 6]), mask_of([1, 3, 5, 7])])
+    f = mask_of([0, 2, 4])
+    assert m.closure(f) == f | 1 << 6  # three members of the first repair set close it
+    assert not verify_witness(m, MinorWitness.from_line("F=0,2,4; X=; k'=1; n'=5"))
+    assert verify_witness(m, MinorWitness.from_line("F=0,1; X=; k'=2; n'=6"))
 
 
 def test_rank_of_ground_and_repair_sets():
@@ -117,11 +181,7 @@ def test_information_set_property():
 
 
 def test_partition_covariance():
-    rng = random.Random(19)
-    perm = list(range(8))
-    rng.shuffle(perm)
-    blocks = [mask_of(perm[i : i + 4]) for i in range(0, 8, 4)]
-    m = make_mr(8, 4, 3, partition=blocks)
+    m = make_mr(8, 4, 3, partition=_seeded_partition(random.Random(19), 8, 3))
     assert check_axioms(m).passed
     assert m.rank(m.ground) == 4
     assert mr_flats(m) == flats(m)
