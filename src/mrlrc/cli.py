@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a check answered false (axioms, witness
 --verify), 2 parse/usage error, 3 invalid parameters, 4 size refusal,
-5 certification answered false (code check only).
+5 certification answered false (code check only), 70 an internal error
+(any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_USAGE = 2
 EXIT_PARAMS = 3
 EXIT_SIZE = 4
 EXIT_CERT = 5
+EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE
 
 
 def _load(params_text: str) -> MrMatroid:
@@ -240,6 +242,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a crash, not a false answer (exit 1); traceback loads only when one happens
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

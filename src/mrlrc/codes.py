@@ -3,9 +3,9 @@
 Columns of a generator matrix index the ground set.  `LinearMatroid.rank`
 is the one column-set rank: the rank of the column submatrix, computed on
 every call (no memo; the checks below rarely rank a set twice).
-`is_mds_code` and `is_mr_lrc` rank through it; `is_mds_code` ranks the
-smaller side of the duality, the k-column sets of G or, for a high-rate
-code, the (n-k)-column sets of its dual.  Contraction and deletion of
+`is_mr_lrc` ranks through it.  `is_mds_code` ranks no column set: one
+elimination brings G to systematic form [I | A], and the code is MDS iff
+every square submatrix of A is nonsingular.  Contraction and deletion of
 the matroid are shortening and puncturing of the code, and
 `shorten_then_puncture` is the one code minor: it eliminates the contracted
 columns once and keeps the other rows on the columns that survive, in the
@@ -27,7 +27,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ParameterError, SizeRefusal
-from .gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field
+from .gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field, rref
 from .matroid import Matroid
 from .mr import MrParams
 from .subsets import MAX_GROUND, bits_of, full_mask, masks_of_size
@@ -35,8 +35,10 @@ from .subsets import MAX_GROUND, bits_of, full_mask, masks_of_size
 # The most elimination steps one `is_mds_code` or `is_mr_lrc` call, or one
 # whole search (all its trials), may take, a d x d rank weighing d^3 steps.
 # A step takes 1.1-1.6 us over GF(257) or GF(2^8) (2-CPU x86-64 VM), so an
-# admitted check answers within about a minute; the [18,9] MDS check,
+# admitted check answers within about a minute; an [18,9] column-set scan,
 # C(18,9) = 48,620 9x9 ranks or 35.4M steps (~40 s), is just past the limit.
+# The MDS check ranks fewer than C(n, k) square submatrices of A, none
+# wider than min(k, n-k), so the same weight bounds it.
 _CODE_LIMIT = 1 << 25
 
 
@@ -70,7 +72,10 @@ def matrix_from_rows(field: FieldSpec, rows) -> GenMatrix:
 
 
 class LinearMatroid(Matroid):
-    """Column matroid of a generator matrix: rank(x) is the rank of the x-columns."""
+    """Column matroid of a generator matrix: rank(x) is the rank of the x-columns.
+
+    `is_mr_lrc` ranks through it; `is_mds_code` reads the systematic form instead.
+    """
 
     def __init__(self, gm: GenMatrix):
         self.gm = gm
@@ -100,24 +105,32 @@ def _refuse_column_sets(check: str, n: int, d: int) -> None:
 def is_mds_code(gm: GenMatrix) -> bool:
     """True iff the rows are independent and every k columns are too.
 
-    A code is MDS iff its dual is (MacWilliams and Sloane, ch. 11, Thm 2),
-    so when 2k > n the check ranks the (n-k)-column sets of a parity-check
-    matrix, nullspace(G), instead: as many sets, each min(k, n-k) wide.
+    One elimination brings G to systematic form: its k reduced rows hold the
+    identity on the pivot columns and A, k x |Q|, on the rest, Q.  A k-set
+    S holding the pivot columns of rows J is a basis iff A[rows not in J,
+    S & Q] is nonsingular, and each square submatrix of A arises from
+    exactly one S.  So the code is MDS iff every entry of A is nonzero and
+    every s x s submatrix, 2 <= s <= min(k, |Q|), has rank s (MacWilliams
+    and Sloane, ch. 11, Thm 8); these run by s ascending, so the cheap checks
+    fail first.  A and the dual's A are transposes up to sign, so no dual is
+    built.  The refusal still weighs C(n, d) ranks of d x d matrices,
+    d = min(k, n-k), an upper bound on this work.
     """
-    # d = min(k, n-k) is the side ranked below; with k > n no set is ranked
+    # no square submatrix of A is wider than d = min(k, n-k); with k > n none is ranked
     _refuse_column_sets("MDS check", gm.n, max(min(gm.k, gm.n - gm.k), 0))
-    m = LinearMatroid(gm)
-    if 2 * gm.k > gm.n:
-        # one elimination: the rank of G is n minus the dimension of its kernel.
-        # An [n, n] code's dual has no rows: its one 0-column set has rank 0
-        dual = nullspace(m._field, gm.rows)
-        if gm.n - len(dual) != gm.k:
-            return False
-        m = LinearMatroid(GenMatrix(gm.field, gm.n, tuple(map(tuple, dual))))
-    elif m.full_rank() != gm.k:
+    full_mask(gm.n)  # the 64-column limit, exit 3
+    f = Field(gm.field)
+    red, pivots = rref(f, gm.rows)
+    if len(pivots) < gm.k:
         return False
-    d = m.gm.k
-    return all(m.rank(x) == d for x in masks_of_size(m.ground, d))
+    q = [j for j in range(gm.n) if j not in pivots]
+    a = [[row[j] for j in q] for row in red]
+    return all(map(all, a)) and all(
+        mat_rank(f, [[a[i][j] for j in cols] for i in rows]) == s
+        for s in range(2, min(gm.k, len(q)) + 1)
+        for rows in combinations(range(gm.k), s)
+        for cols in combinations(range(len(q)), s)
+    )
 
 
 def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import mrlrc
+from mrlrc import cli
 from mrlrc.cli import main
 from mrlrc.minors import MinorWitness
 
@@ -154,6 +155,17 @@ def test_size_refusal_exit_code(capsys):
     code, _, err = run(capsys, "axioms", "24,12,3")
     assert code == 4
     assert "size refusal" in err
+
+
+def test_crash_exit_code(capsys, monkeypatch):
+    # an unexpected exception is a crash, exit 70 with its traceback, not exit 1 ("false")
+    def crash(m):
+        raise RuntimeError("witness failed verification")
+
+    monkeypatch.setattr(cli, "witness_eq1", crash)
+    code, out, err = run(capsys, "witness", "8,4,3", "--eq", "1")
+    assert (code, out) == (70, "")
+    assert "Traceback" in err and "RuntimeError: witness failed verification" in err
 
 
 def test_witness_refuses_unbounded_verification(capsys):

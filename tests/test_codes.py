@@ -19,7 +19,7 @@ from mrlrc.codes import (
     write_matrix,
 )
 from mrlrc.errors import ParameterError, SizeRefusal
-from mrlrc.gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field
+from mrlrc.gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field, rref
 from mrlrc.matroid import minor
 from mrlrc.minors import witness_eq1, witness_eq2, witness_eq3
 from mrlrc.mr import make_mr, make_params, parse_params
@@ -80,7 +80,7 @@ def test_refusals_state_the_work():
     # few column sets can still be too much work when each is wide: C(64,61) = 41664 61x61 ranks
     with pytest.raises(SizeRefusal, match=r"C\(64,61\) = 41664 column sets: 9456936384 steps"):
         is_mr_lrc(matrix_from_rows(FieldSpec(13), [[0] * 64 for _ in range(61)]), make_params(64, 61, 31))
-    # a high-rate code is named by the dual side it would rank: C(40,10), not C(40,30)
+    # a high-rate code is weighed at d = min(k, n-k) = n - k: C(40,10), not C(40,30)
     gm = matrix_from_rows(FieldSpec(13), [[0] * 40 for _ in range(30)])
     with pytest.raises(SizeRefusal, match=r"C\(40,10\) = 847660528 column sets"):
         is_mds_code(gm)
@@ -362,10 +362,30 @@ def _recording(log):
     return rank
 
 
+def _ranked_minors(gm):
+    """The matrices is_mds_code ranks: the s x s submatrices of A, 2 <= s <= min(k, n-k),
+    in (s, rows, cols) order, up to the first singular one, where rref(G) = [I | A] on
+    its pivot and other columns; none when G is rank-deficient or A has a zero entry."""
+    f = Field(gm.field)
+    red, pivots = rref(f, gm.rows)
+    if len(pivots) < gm.k:
+        return []
+    a = [[row[j] for j in range(gm.n) if j not in pivots] for row in red]
+    if not all(v for row in a for v in row):
+        return []
+    out = []
+    for s in range(2, min(gm.k, gm.n - gm.k) + 1):
+        for rows in combinations(range(gm.k), s):
+            for cols in combinations(range(gm.n - gm.k), s):
+                out.append([[a[i][j] for j in cols] for i in rows])
+                if mat_rank(f, out[-1]) < s:
+                    return out
+    return out
+
+
 def test_checks_match_combination_loops(monkeypatch):
-    # same verdicts, and the same column submatrices ranked in the same order,
-    # except where is_mds_code takes the dual (2k > n): there one elimination
-    # of G gives its rank and its kernel, so only (n-k)-column sets are ranked
+    # same verdicts as the column-set scans; is_mds_code ranks the square submatrices
+    # of the systematic form's A, is_mr_lrc the same column submatrices in the same order
     lib, ref = [], []
     monkeypatch.setattr(codes, "mat_rank", _recording(lib))
     rng = random.Random(13)
@@ -375,18 +395,12 @@ def test_checks_match_combination_loops(monkeypatch):
         for _ in range(25):
             gm = _random_matrix(rng, spec, rng.randint(1, 7))
             lib.clear()
-            ref.clear()
             verdict = is_mds_code(gm)
-            assert verdict == _mds_by_combinations(gm, _recording(ref))
-            if 2 * gm.k <= gm.n:
-                assert lib == ref
-            elif mat_rank(Field(spec), gm.rows) < gm.k:
-                assert lib == []
-            else:
-                d = gm.n - gm.k
-                assert all(len(rows) != gm.k for rows in lib)  # no k x n full-rank call
-                assert all(len(rows) == d and all(len(row) == d for row in rows) for rows in lib)
-                assert len(lib) <= comb(gm.n, d)
+            assert verdict == _mds_by_combinations(gm, mat_rank)
+            assert lib == _ranked_minors(gm)
+            if verdict:
+                # C(n, k) k-sets: the identity's, k(n-k) entries of A, and the rest
+                assert len(lib) == comb(gm.n, gm.k) - 1 - gm.k * (gm.n - gm.k)
             mds.add(verdict)
     for params, text in (("8,4,3", "13"), ("8,4,3:0,2,5,7;1,3,4,6", "2^4"), ("9,4,2", "3^2")):
         p, spec = parse_params(params), parse_field(text)
@@ -479,9 +493,9 @@ def test_shorten_pinned_extension_field():
 
 
 def test_mds_verdicts_match_primal_reference():
-    # the dual path (full rank, 2k > n) gives the primal verdict, and both verdicts occur there
+    # high-rate codes (full rank, 2k > n) get the primal verdict, and both verdicts occur there
     rng = random.Random(14)
-    dual_side = set()
+    high_rate = set()
     count = 0
     for text in _FIELDS:
         spec = parse_field(text)
@@ -490,10 +504,10 @@ def test_mds_verdicts_match_primal_reference():
             verdict = is_mds_code(gm)
             assert verdict == _mds_by_combinations(gm, mat_rank), (text, gm.rows)
             if 2 * gm.k > gm.n and mat_rank(Field(spec), gm.rows) == gm.k:
-                dual_side.add(verdict)
+                high_rate.add(verdict)
             count += 1
     assert count >= 1000
-    assert dual_side == {True, False}
+    assert high_rate == {True, False}
 
 
 @pytest.mark.parametrize("spec, n, k", [(FieldSpec(257), 12, 9), (FieldSpec(257), 16, 12), (FieldSpec(2, 8, 285), 16, 13)])
@@ -514,3 +528,47 @@ def test_full_rank_square_code_is_mds():
         assert is_mds_code(_rs_matrix(spec, 6, 6))
     # a square matrix with a repeated row is not
     assert not is_mds_code(matrix_from_rows(FieldSpec(13), [[1, 2, 3], [0, 1, 4], [1, 2, 3]]))
+
+
+@pytest.mark.parametrize(
+    "text, n, k",
+    [("257", 12, 6), ("257", 12, 3), ("257", 12, 9), ("3^2", 8, 3), ("3^2", 8, 5), ("2^8:285", 12, 4), ("2^8:285", 12, 8)],
+)
+def test_mds_on_systematic_reed_solomon(monkeypatch, text, n, k):
+    # G = [I | A] from a Reed-Solomon code, then one entry of A zeroed (a 1x1 minor,
+    # no rank taken), then one 2x2 minor made singular (the first one ranked);
+    # each also with its columns reversed, which moves the pivots
+    spec = parse_field(text)
+    f = Field(spec)
+    red, pivots = rref(f, _rs_matrix(spec, n, k).rows)
+    assert pivots == list(range(k))
+    zero = [list(row) for row in red]
+    zero[0][k] = 0
+    singular = [list(row) for row in red]
+    singular[1][k + 1] = f.mul(f.mul(red[0][k + 1], red[1][k]), f.inv(red[0][k]))
+    lib = []
+    monkeypatch.setattr(codes, "mat_rank", _recording(lib))
+    for rows, verdict, ranked in ((red, True, comb(n, k) - 1 - k * (n - k)), (zero, False, 0), (singular, False, 1)):
+        for gm in (matrix_from_rows(spec, rows), matrix_from_rows(spec, [row[::-1] for row in rows])):
+            lib.clear()
+            assert is_mds_code(gm) == _mds_by_combinations(gm, mat_rank) == verdict
+            assert lib == _ranked_minors(gm)
+        assert len(_ranked_minors(matrix_from_rows(spec, rows))) == ranked
+
+
+def test_mds_degenerate_shapes():
+    for text in ("13", "3^2", "2^8:285"):
+        spec = parse_field(text)
+        rs = [list(row) for row in _rs_matrix(spec, 8, 3).rows]
+        cases = [
+            ([[int(i == j) for j in range(5)] for i in range(5)], True),  # k = n
+            ([[1, 2], [3, 4], [5, 6]], False),  # k > n
+            (rs[:2] + [rs[0]], False),  # rank-deficient
+            ([row[:4] + [0] + row[5:] for row in rs], False),  # a zero column, 2k < n
+            ([list(row[:4]) + [0] + list(row[5:]) for row in _rs_matrix(spec, 6, 4).rows], False),  # and 2k > n
+            ([[]], False),  # n = 0
+            ([[], []], False),
+        ]
+        for rows, verdict in cases:
+            gm = matrix_from_rows(spec, rows)
+            assert is_mds_code(gm) == _mds_by_combinations(gm, mat_rank) == verdict, (text, rows)
