@@ -37,8 +37,8 @@ from .subsets import MAX_GROUND, bits_of, full_mask, masks_of_size
 # A step takes 1.1-1.6 us over GF(257) or GF(2^8) (2-CPU x86-64 VM), so an
 # admitted check answers within about a minute; an [18,9] column-set scan,
 # C(18,9) = 48,620 9x9 ranks or 35.4M steps (~40 s), is just past the limit.
-# The MDS check ranks fewer than C(n, k) square submatrices of A, none
-# wider than min(k, n-k), so the same weight bounds it.
+# The MDS check counts the square submatrices of A it ranks, each weighed
+# as a min(k, n-k) x min(k, n-k) rank.
 _CODE_LIMIT = 1 << 25
 
 
@@ -98,10 +98,6 @@ def _refuse_ranks(work: str, count: int, d: int) -> None:
         raise SizeRefusal(f"{work}: {count * d**3} steps at d^3 per {d}x{d} rank; limit is {_CODE_LIMIT}")
 
 
-def _refuse_column_sets(check: str, n: int, d: int) -> None:
-    _refuse_ranks(f"{check} would rank C({n},{d}) = {comb(n, d)} column sets", comb(n, d), d)
-
-
 def is_mds_code(gm: GenMatrix) -> bool:
     """True iff the rows are independent and every k columns are too.
 
@@ -113,11 +109,13 @@ def is_mds_code(gm: GenMatrix) -> bool:
     every s x s submatrix, 2 <= s <= min(k, |Q|), has rank s (MacWilliams
     and Sloane, ch. 11, Thm 8); these run by s ascending, so the cheap checks
     fail first.  A and the dual's A are transposes up to sign, so no dual is
-    built.  The refusal still weighs C(n, d) ranks of d x d matrices,
-    d = min(k, n-k), an upper bound on this work.
+    built.  The refusal counts the submatrices it would rank,
+    sum over 2 <= s <= d of C(k, s) C(n-k, s), d = min(k, n-k), each
+    weighed as a d x d rank.
     """
-    # no square submatrix of A is wider than d = min(k, n-k); with k > n none is ranked
-    _refuse_column_sets("MDS check", gm.n, max(min(gm.k, gm.n - gm.k), 0))
+    d = min(gm.k, gm.n - gm.k)
+    count = sum(comb(gm.k, s) * comb(gm.n - gm.k, s) for s in range(2, d + 1))
+    _refuse_ranks(f"MDS check would rank {count} square submatrices of A", count, d)
     full_mask(gm.n)  # the 64-column limit, exit 3
     f = Field(gm.field)
     red, pivots = rref(f, gm.rows)
@@ -144,7 +142,8 @@ def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
         raise ParameterError(
             f"matrix is [{gm.n},{gm.k}], parameters ask for [{p.n},{p.k}]"
         )
-    _refuse_column_sets("MR check", p.n, p.k)
+    sets = comb(p.n, p.k)
+    _refuse_ranks(f"MR check would rank C({p.n},{p.k}) = {sets} column sets", sets, p.k)
     m = LinearMatroid(gm)
     return all(m.rank(b) <= p.r for b in p.repair_sets) and all(
         m.rank(x) == p.k

@@ -24,6 +24,8 @@ from .errors import ParameterError
 MAX_Q = 1 << 16
 
 
+# pure, and FieldSpec's arguments stay below 2^17: each parse after the first is a lookup
+@functools.cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -84,6 +86,7 @@ def _poly_mod(a: int, mod: int, p: int) -> int:
     return _undigits(da, p)
 
 
+@functools.cache
 def _is_irreducible(mod: int, p: int, m: int) -> bool:
     # trial division by every monic polynomial of degree 1..m//2
     for d in range(1, m // 2 + 1):

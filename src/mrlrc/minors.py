@@ -16,12 +16,13 @@ per call.  By the Scum theorem a rank-k' minor needs only the flats of
 rank rank(E) - k', so each flat serves exactly one k': the oracle ranks it
 once, contracts it at that k' with `matroid.minor` and then chooses
 arbitrary deletions.  The oracle uses none of the constructors and nothing
-of the closed-form `mr.mr_flats`, which stays the independent check of the
-scan.  The constructors do use the oracle: in the eq3 gap cases, where
-`_spread` finds no contract set (the minimal j overshoots), `witness_eq3`
-takes F from `oracle_max_uniform`'s best witness.  The builder still picks
-X, the size and the flag there, but construction and oracle share F, so
-they are one path, not two.
+of `mr.mr_flats` (the flats by definition, cl(F) = F, over the closed-form
+closure), which stays the independent check of the scan.  The constructors
+do use the oracle: in the eq3 gap cases, where `_spread` finds no contract
+set (the minimal j overshoots), `witness_eq3` takes F from
+`oracle_max_uniform`'s best witness.  The builder still picks X, the size
+and the flag there, but construction and oracle share F, so they are one
+path, not two.
 """
 
 from __future__ import annotations

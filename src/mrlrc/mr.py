@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
-from .matroid import _FLATS_LIMIT, _RANK_BATCH, Matroid
+from .matroid import _FLATS_LIMIT, Matroid
 from .subsets import (
     format_indices,
     full_mask,
@@ -177,34 +177,12 @@ def make_mr(n: int, k: int, r: int, partition=None) -> MrMatroid:
 
 
 def mr_flats(m: MrMatroid) -> list[int]:
-    """Flats from the closed-form characterization, sorted by (size, mask).
-
-    F != E is a flat iff no repair set meets F in exactly r elements and
-    |F| - #{full repair sets inside F} < k.  Must agree with the
-    closure-scan flats of the generic machinery.
-    """
+    """The flats by definition, cl(F) = F, over the closed-form closure, sorted
+    by (size, mask): the independent check of the rank-table `matroid.flats`."""
     p = m.params
     if p.n > _FLATS_LIMIT:
         raise SizeRefusal(f"mr_flats enumerates 2^{p.n} subsets; limit is n <= {_FLATS_LIMIT}")
-    import numpy as np
-
-    out = []
-    total = 1 << p.n
-    for lo in range(0, total, _RANK_BATCH):
-        masks = np.arange(lo, min(lo + _RANK_BATCH, total), dtype=np.int64)
-        full = np.zeros(len(masks), dtype=np.int64)
-        bad = np.zeros(len(masks), dtype=bool)
-        for b in p.repair_sets:
-            inter = popcount_array(masks & np.int64(b))
-            full += inter == p.r + 1
-            bad |= inter == p.r
-        keep = ~bad & (popcount_array(masks) - full < p.k)
-        out.extend(int(s) for s in masks[keep])
-    e = m.ground
-    if e not in out:
-        out.append(e)
-    out.sort(key=lambda s: (s.bit_count(), s))
-    return out
+    return sorted((x for x in range(1 << p.n) if m.closure(x) == x), key=lambda s: (s.bit_count(), s))
 
 
 def valid_param_triples(n_max: int):

@@ -59,6 +59,19 @@ def test_witness_eq3_boundary_flag(capsys):
     assert "n'=6" in out
 
 
+def test_witness_lines_pinned_in_ci(capsys):
+    # eq2 with k % r != 0 deletes one leftover of the partial block; eq4 with whole
+    # blocks inside F leaves X in blocks 2-4 only
+    for argv, line in (
+        (("8,4,3", "--eq", "2"), "F=0; X=1; k'=3; n'=6; verified=true; boundary=false"),
+        (
+            ("15,10,2", "--eq", "4", "--kprime", "3"),
+            "F=0,1,2,3,4,5,6,9,12; X=7,10,13; k'=3; n'=3; verified=true; boundary=false",
+        ),
+    ):
+        assert run(capsys, "witness", *argv) == (0, line + "\n", ""), argv
+
+
 def test_witness_usage_errors(capsys):
     code, _, err = run(capsys, "witness", "8,4,3")
     assert code == 2
@@ -144,6 +157,20 @@ def test_invalid_params_exit_code(capsys):
     code, _, err = run(capsys, "bounds", "10,4,2")
     assert code == 3
     assert "invalid parameters" in err
+
+
+def test_bad_triples_partitions_and_indices_exit_3(capsys):
+    cases = {
+        ("bounds", "0,1,1"): "code length must be positive, got n=0",
+        ("bounds", "4,2,0"): "locality must be at least 1, got r=0",
+        # element 7 is in no repair set, and 9 is past n = 8
+        ("witness", "8,4,3:0,1,2,3;4,5,6,9", "--eq", "1"): "repair sets do not cover the ground set",
+        ("witness", "8,4,3", "--verify", "F=64; X=; k'=2; n'=6"): "index 64 in '64' is past the ground limit",
+    }
+    for argv, message in cases.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert message in err, argv
 
 
 def test_malformed_params_exit_code(capsys):
@@ -232,6 +259,16 @@ def test_code_search_bounds_the_whole_command(capsys, tmp_path):
     assert code == 0 and out == "MR: true\n"
 
 
+def test_code_search_that_finds_nothing_exits_5(capsys, tmp_path):
+    mat = tmp_path / "none.txt"
+    code, out, err = run(
+        capsys, "code", "search", "8,4,3", "--field", "13", "--seed", "1", "--trials", "1", "--out", str(mat)
+    )
+    assert (code, out) == (5, "")
+    assert "no MR code found in 1 trials" in err
+    assert not mat.exists()
+
+
 def test_matrix_past_64_columns_is_a_parameter_error(capsys, tmp_path):
     mat = tmp_path / "wide.txt"
     mat.write_text("field 2\n1 65\n" + " ".join(["1"] * 65) + "\n")
@@ -306,6 +343,7 @@ def test_bad_matrix_file_is_a_parse_error(capsys, tmp_path):
         "row length 3 does not match n=4": "field 13\n1 4\n1 2 3\n",
         "entry 13 outside GF(13)": "field 13\n1 4\n1 2 3 13\n",
         "characteristic must be prime": "field 4\n1 4\n1 2 3 0\n",
+        "bad dimension line '1 x'": "field 13\n1 x\n1 2\n",
     }
     for message, text in files.items():
         mat = tmp_path / "bad.txt"
@@ -440,8 +478,9 @@ def test_huge_indices_are_refused_at_once(tmp_path):
 
 
 def test_wide_code_checks_are_refused_at_once(tmp_path, capsys):
-    # each would take past the 2^25-step limit: C(24,12) 12x12 column sets, or per
-    # search trial 271,151 6x6 difference matrices; refused before the first rank.
+    # each would take past the 2^25-step limit: C(24,12) - 1 - 144 square submatrices
+    # of A for MDS, C(24,12) 12x12 column sets for --mr, or per search trial
+    # 271,151 6x6 difference matrices; refused before the first rank.
     # A search past n = 64 is refused before it builds the repair sets, also at
     # h = 0 (one check per trial) and h = 1
     mat = tmp_path / "m.txt"
@@ -457,7 +496,8 @@ def test_wide_code_checks_are_refused_at_once(tmp_path, capsys):
     got = _timed_runs(runs)
     assert [code for code, _ in got] == [4] * 5
     assert all(seconds < 1 for _, seconds in got), got
-    counts = ["C(24,12) = 2704156 column sets"] * 2 + ["271151 6x6 difference matrices per trial"]
+    counts = ["2704011 square submatrices of A", "C(24,12) = 2704156 column sets"]
+    counts += ["271151 6x6 difference matrices per trial"]
     counts += ["n=200000 code; limit is n <= 64", "n=131072 code; limit is n <= 64"]
     for argv, count in zip(runs, counts):
         assert count in run(capsys, *argv)[2]

@@ -59,7 +59,7 @@ def test_singleton_violation_is_not_mds():
 
 
 def test_mds_refusal():
-    # the limit weighs column sets, not columns: a [25,1] code ranks 25 1x1 sets
+    # the limit weighs ranked submatrices, not columns: a [25,1] code's A is 1x24 and ranks none
     assert is_mds_code(matrix_from_rows(FieldSpec(2), [[1] * 25]))
     with pytest.raises(SizeRefusal):
         is_mds_code(matrix_from_rows(FieldSpec(13), [[1] * 24 for _ in range(12)]))
@@ -74,15 +74,18 @@ def test_refusals_state_the_work():
     gm = matrix_from_rows(FieldSpec(13), [[0] * 30 for _ in range(15)])
     msg = r"C\(30,15\) = 155117520 column sets: 523521630000 steps at d\^3 per 15x15 rank; limit is 33554432"
     with pytest.raises(SizeRefusal, match=msg):
-        is_mds_code(gm)
-    with pytest.raises(SizeRefusal, match=msg):
         is_mr_lrc(gm, make_params(30, 15, 4))
+    # the MDS check names the square submatrices of A = 15x15 it ranks, C(30,15) - 1 - 15^2 of them
+    msg = r"155117294 square submatrices of A: 523520867250 steps at d\^3 per 15x15 rank; limit is 33554432"
+    with pytest.raises(SizeRefusal, match=msg):
+        is_mds_code(gm)
     # few column sets can still be too much work when each is wide: C(64,61) = 41664 61x61 ranks
     with pytest.raises(SizeRefusal, match=r"C\(64,61\) = 41664 column sets: 9456936384 steps"):
         is_mr_lrc(matrix_from_rows(FieldSpec(13), [[0] * 64 for _ in range(61)]), make_params(64, 61, 31))
-    # a high-rate code is weighed at d = min(k, n-k) = n - k: C(40,10), not C(40,30)
+    # a high-rate code is weighed at d = min(k, n-k) = n - k: A is 30x10, so
+    # C(40,10) - 1 - 300 submatrices of at most 10x10
     gm = matrix_from_rows(FieldSpec(13), [[0] * 40 for _ in range(30)])
-    with pytest.raises(SizeRefusal, match=r"C\(40,10\) = 847660528 column sets"):
+    with pytest.raises(SizeRefusal, match=r"847660227 square submatrices of A: 847660227000 steps at d\^3 per 10x10"):
         is_mds_code(gm)
 
 

@@ -60,6 +60,27 @@ def test_parse_field():
         parse_field("abc")
 
 
+def test_field_spec_checks_run_once(monkeypatch):
+    # the irreducibility test is cached: a second parse divides no polynomial
+    calls = []
+
+    def spy(a, mod, p):
+        calls.append((a, mod, p))
+        return _poly_mod(a, mod, p)
+
+    _is_irreducible.cache_clear()
+    monkeypatch.setattr("mrlrc.gf._poly_mod", spy)
+    assert parse_field("2^8:285") == FieldSpec(2, 8, 285)
+    assert calls
+    calls.clear()
+    assert parse_field("2^8:285") == FieldSpec(2, 8, 285)
+    assert calls == []
+    # a cached verdict still raises on every call: x^4 + x = x (x^3 + 1) is reducible
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="reducible"):
+            parse_field("2^4:18")
+
+
 def test_field_to_text_roundtrip():
     assert FieldSpec(13).to_text() == "field 13"
     assert FieldSpec(2, 4).to_text() == "field 2^4 modulus=19"
@@ -146,6 +167,10 @@ def test_nullspace_orthogonality():
             for a, b in zip(row, v):
                 acc = f.add(acc, f.mul(a, b))
             assert acc == 0
+
+
+def test_nullspace_of_no_rows_is_empty():
+    assert nullspace(Field(FieldSpec(13)), []) == []
 
 
 def test_nullspace_extension_field():

@@ -504,6 +504,11 @@ def test_minor_view_flattening():
     assert v2.rank(0b10) == m.rank(0b10011) - m.rank(0b10001)
 
 
+def test_table_matroid_needs_2_to_the_n_entries():
+    with pytest.raises(ValueError, match=r"2\^n entries"):
+        TableMatroid(3, [0] * 7)
+
+
 def test_uniform_matroid_validation():
     with pytest.raises(ParameterError):
         uniform_matroid(3, 4)

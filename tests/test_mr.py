@@ -149,6 +149,11 @@ def test_mr_flats_equal_closure_flats():
     for n, k, r in [(6, 3, 2), (8, 4, 3), (9, 4, 2), (12, 7, 3)]:
         m = make_mr(n, k, r)
         assert mr_flats(m) == flats(m), (n, k, r)
+    # a seeded partition of every valid triple with n <= 12
+    rng = random.Random(23)
+    for n, k, r in valid_param_triples(12):
+        m = make_mr(n, k, r, _seeded_partition(rng, n, r))
+        assert mr_flats(m) == flats(m), (n, k, r, m.params.partition)
 
 
 def test_mr_flats_membership_examples():
