@@ -5,7 +5,11 @@ is the one column-set rank: the rank of the column submatrix, computed on
 every call (no memo; the checks below rarely rank a set twice).
 `is_mr_lrc` ranks through it.  `is_mds_code` ranks no column set: one
 elimination brings G to systematic form [I | A], and the code is MDS iff
-every square submatrix of A is nonsingular.  Contraction and deletion of
+every square submatrix of A is nonsingular.  `gf.minors_nonzero` tests
+that by cofactor expansion, s ascending, rows and columns in `combinations`
+order: each s x s minor from the (s-1)-minors, the one level it keeps, and
+the first zero minor answers.  The refusal weighs each submatrix as a
+d x d rank, d^3 steps, an upper bound on that.  Contraction and deletion of
 the matroid are shortening and puncturing of the code, and
 `shorten_then_puncture` is the one code minor: it eliminates the contracted
 columns once and keeps the other rows on the columns that survive, in the
@@ -27,7 +31,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ParameterError, SizeRefusal
-from .gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field, rref
+from .gf import Field, FieldSpec, _eliminate, mat_rank, minors_nonzero, nullspace, parse_field, rref
 from .matroid import Matroid
 from .mr import MrParams
 from .subsets import MAX_GROUND, bits_of, full_mask, masks_of_size
@@ -37,8 +41,9 @@ from .subsets import MAX_GROUND, bits_of, full_mask, masks_of_size
 # A step takes 1.1-1.6 us over GF(257) or GF(2^8) (2-CPU x86-64 VM), so an
 # admitted check answers within about a minute; an [18,9] column-set scan,
 # C(18,9) = 48,620 9x9 ranks or 35.4M steps (~40 s), is just past the limit.
-# The MDS check counts the square submatrices of A it ranks, each weighed
-# as a min(k, n-k) x min(k, n-k) rank.
+# The MDS check counts the square submatrices of A it tests, each weighed
+# as a min(k, n-k) x min(k, n-k) rank: an upper bound, since an s x s minor
+# costs s multiply-adds once the (s-1)-minors are known.
 _CODE_LIMIT = 1 << 25
 
 
@@ -106,29 +111,25 @@ def is_mds_code(gm: GenMatrix) -> bool:
     S holding the pivot columns of rows J is a basis iff A[rows not in J,
     S & Q] is nonsingular, and each square submatrix of A arises from
     exactly one S.  So the code is MDS iff every entry of A is nonzero and
-    every s x s submatrix, 2 <= s <= min(k, |Q|), has rank s (MacWilliams
-    and Sloane, ch. 11, Thm 8); these run by s ascending, so the cheap checks
-    fail first.  A and the dual's A are transposes up to sign, so no dual is
-    built.  The refusal counts the submatrices it would rank,
+    every s x s minor, 2 <= s <= min(k, |Q|), is nonzero (MacWilliams and
+    Sloane, ch. 11, Thm 8).  `minors_nonzero` expands them by s ascending,
+    rows and columns in `combinations` order, keeping only the (s-1)-minors,
+    and stops at the first zero one.  A and the dual's A are transposes up
+    to sign, so no dual is built.  The refusal counts the submatrices,
     sum over 2 <= s <= d of C(k, s) C(n-k, s), d = min(k, n-k), each
-    weighed as a d x d rank.
+    weighed as a d x d rank, d^3 steps: an upper bound on the expansion,
+    which takes s multiply-adds per s x s minor.
     """
+    full_mask(gm.n)  # the 64-column limit, exit 3, before any count of the work
     d = min(gm.k, gm.n - gm.k)
     count = sum(comb(gm.k, s) * comb(gm.n - gm.k, s) for s in range(2, d + 1))
     _refuse_ranks(f"MDS check would rank {count} square submatrices of A", count, d)
-    full_mask(gm.n)  # the 64-column limit, exit 3
     f = Field(gm.field)
     red, pivots = rref(f, gm.rows)
     if len(pivots) < gm.k:
         return False
     q = [j for j in range(gm.n) if j not in pivots]
-    a = [[row[j] for j in q] for row in red]
-    return all(map(all, a)) and all(
-        mat_rank(f, [[a[i][j] for j in cols] for i in rows]) == s
-        for s in range(2, min(gm.k, len(q)) + 1)
-        for rows in combinations(range(gm.k), s)
-        for cols in combinations(range(len(q)), s)
-    )
+    return minors_nonzero(f, [[row[j] for j in q] for row in red])
 
 
 def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
@@ -142,6 +143,7 @@ def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
         raise ParameterError(
             f"matrix is [{gm.n},{gm.k}], parameters ask for [{p.n},{p.k}]"
         )
+    full_mask(gm.n)  # the 64-column limit, exit 3, before any count of the work
     sets = comb(p.n, p.k)
     _refuse_ranks(f"MR check would rank C({p.n},{p.k}) = {sets} column sets", sets, p.k)
     m = LinearMatroid(gm)

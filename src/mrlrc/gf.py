@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ParameterError
 
@@ -280,6 +281,50 @@ def mat_rank(field: Field, rows) -> int:
     """Rank by Gaussian elimination over the field."""
     rows = list(rows)
     return len(_eliminate(field, rows, range(len(rows[0]) if rows else 0))[1])
+
+
+def minors_nonzero(field: Field, a) -> bool:
+    """True iff every square submatrix of `a` is nonsingular.
+
+    The entries are tested first, then the s x s minors for s = 2, 3, ...
+    by cofactor expansion along the last column: with C = P + (x,),
+    det a[R, C] is the sum over t of +-a[r_t][x] det a[R - r_t, P], each
+    (s-1)-minor read from the previous level, s multiplications per minor.
+    Row sets R and column sets C run in `combinations` order (the C that
+    extend one P are consecutive there), and the first zero minor answers
+    False.  Only the previous level is kept, for each R a list of its
+    minors in the order of P; the last level is not stored.  A level's
+    values are its determinants times one common sign, which no zero test
+    sees.
+    """
+    if not all(map(all, a)):
+        return False
+    k, m = len(a), len(a[0]) if a else 0
+    add, mul = field.add, field.mul
+    # the odd terms of an expansion take their entry negated
+    signed = [(row, [field.neg(v) for v in row]) for row in a]
+    level = {(r,): row for r, row in enumerate(a)}
+    top = min(k, m)
+    for s in range(2, top + 1):
+        below, level = level, {}
+        # (rank of P, first x past P) for each P that some x extends
+        spans = [(j, p[-1] + 1) for j, p in enumerate(combinations(range(m), s - 1)) if p[-1] + 1 < m]
+        for rows in combinations(range(k), s):
+            terms = [(below[rows[:t] + rows[t + 1 :]], signed[r][t & 1]) for t, r in enumerate(rows)]
+            (sub0, ent0), *rest = terms
+            out = []
+            for j, lo in spans:
+                m0 = sub0[j]
+                for x in range(lo, m):
+                    det = mul(m0, ent0[x])
+                    for sub, ent in rest:
+                        det = add(det, mul(sub[j], ent[x]))
+                    if not det:
+                        return False
+                    if s < top:
+                        out.append(det)
+            level[rows] = out
+    return True
 
 
 def rref(field: Field, rows):

@@ -272,7 +272,12 @@ def test_code_search_that_finds_nothing_exits_5(capsys, tmp_path):
 def test_matrix_past_64_columns_is_a_parameter_error(capsys, tmp_path):
     mat = tmp_path / "wide.txt"
     mat.write_text("field 2\n1 65\n" + " ".join(["1"] * 65) + "\n")
-    for argv in (("check", str(mat)), ("shorten", str(mat), "--cols", "0")):
+    # a 30x65 matrix is past both refusals' work limits too: the column limit comes first
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("field 13\n30 65\n" + "\n".join([" ".join(["0"] * 65)] * 30) + "\n")
+    runs = [("check", str(mat)), ("shorten", str(mat), "--cols", "0")]
+    runs += [("check", str(zeros)), ("check", str(zeros), "--mr", "65,30,4")]
+    for argv in runs:
         code, out, err = run(capsys, "code", *argv)
         assert code == 3, argv
         assert "ground size must be in [0, 64], got 65" in err

@@ -19,7 +19,7 @@ from mrlrc.codes import (
     write_matrix,
 )
 from mrlrc.errors import ParameterError, SizeRefusal
-from mrlrc.gf import Field, FieldSpec, _eliminate, mat_rank, nullspace, parse_field, rref
+from mrlrc.gf import Field, FieldSpec, _eliminate, mat_rank, minors_nonzero, nullspace, parse_field, rref
 from mrlrc.matroid import minor
 from mrlrc.minors import witness_eq1, witness_eq2, witness_eq3
 from mrlrc.mr import make_mr, make_params, parse_params
@@ -387,8 +387,9 @@ def _ranked_minors(gm):
 
 
 def test_checks_match_combination_loops(monkeypatch):
-    # same verdicts as the column-set scans; is_mds_code ranks the square submatrices
-    # of the systematic form's A, is_mr_lrc the same column submatrices in the same order
+    # same verdicts as the column-set scans; is_mds_code ranks no submatrix (it expands
+    # the minors of the systematic form's A), is_mr_lrc ranks the same column
+    # submatrices in the same order
     lib, ref = [], []
     monkeypatch.setattr(codes, "mat_rank", _recording(lib))
     rng = random.Random(13)
@@ -400,10 +401,10 @@ def test_checks_match_combination_loops(monkeypatch):
             lib.clear()
             verdict = is_mds_code(gm)
             assert verdict == _mds_by_combinations(gm, mat_rank)
-            assert lib == _ranked_minors(gm)
+            assert lib == []
             if verdict:
                 # C(n, k) k-sets: the identity's, k(n-k) entries of A, and the rest
-                assert len(lib) == comb(gm.n, gm.k) - 1 - gm.k * (gm.n - gm.k)
+                assert len(_ranked_minors(gm)) == comb(gm.n, gm.k) - 1 - gm.k * (gm.n - gm.k)
             mds.add(verdict)
     for params, text in (("8,4,3", "13"), ("8,4,3:0,2,5,7;1,3,4,6", "2^4"), ("9,4,2", "3^2")):
         p, spec = parse_params(params), parse_field(text)
@@ -538,9 +539,9 @@ def test_full_rank_square_code_is_mds():
     [("257", 12, 6), ("257", 12, 3), ("257", 12, 9), ("3^2", 8, 3), ("3^2", 8, 5), ("2^8:285", 12, 4), ("2^8:285", 12, 8)],
 )
 def test_mds_on_systematic_reed_solomon(monkeypatch, text, n, k):
-    # G = [I | A] from a Reed-Solomon code, then one entry of A zeroed (a 1x1 minor,
-    # no rank taken), then one 2x2 minor made singular (the first one ranked);
-    # each also with its columns reversed, which moves the pivots
+    # G = [I | A] from a Reed-Solomon code, then one entry of A zeroed (a 1x1 minor),
+    # then one 2x2 minor made singular (the first one the reference ranks); each
+    # also with its columns reversed, which moves the pivots.  No submatrix is ranked
     spec = parse_field(text)
     f = Field(spec)
     red, pivots = rref(f, _rs_matrix(spec, n, k).rows)
@@ -555,8 +556,91 @@ def test_mds_on_systematic_reed_solomon(monkeypatch, text, n, k):
         for gm in (matrix_from_rows(spec, rows), matrix_from_rows(spec, [row[::-1] for row in rows])):
             lib.clear()
             assert is_mds_code(gm) == _mds_by_combinations(gm, mat_rank) == verdict
-            assert lib == _ranked_minors(gm)
+            assert lib == []
         assert len(_ranked_minors(matrix_from_rows(spec, rows))) == ranked
+
+
+def _minors_ranked(f, a, sizes):
+    """Reference minors_nonzero, at the given sizes: every s x s submatrix of a has rank s."""
+    return all(
+        mat_rank(f, [[a[i][j] for j in cols] for i in rows]) == s
+        for s in sizes
+        for rows in combinations(range(len(a)), s)
+        for cols in combinations(range(len(a[0])), s)
+    )
+
+
+def test_minors_nonzero_matches_ranks():
+    # 1 x m, k x 1, square and wide or tall shapes; a quarter of the matrices get one
+    # zero entry, so that both verdicts occur at every shape
+    rng = random.Random(24)
+    verdicts = {}
+    for text in _FIELDS:
+        f = Field(parse_field(text))
+        for k, m in ((1, 1), (1, 6), (6, 1), (2, 2), (3, 3), (4, 4), (2, 5), (5, 3)):
+            for _ in range(25):
+                a = [[rng.randrange(1, f.q) for _ in range(m)] for _ in range(k)]
+                if rng.random() < 0.25:
+                    a[rng.randrange(k)][rng.randrange(m)] = 0
+                verdict = minors_nonzero(f, a)
+                assert verdict == _minors_ranked(f, a, range(1, min(k, m) + 1)), (text, a)
+                verdicts.setdefault((k, m), set()).add(verdict)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+def test_minors_nonzero_stops_at_the_first_zero_minor(monkeypatch):
+    # s multiplications per s x s minor; when the first 2x2 minor (rows 0, 1 and
+    # columns 0, 1) is singular, its 2 are all, and no 3x3 minor is evaluated
+    spec = FieldSpec(257)
+    f = Field(spec)
+    red, pivots = rref(f, _rs_matrix(spec, 9, 4).rows)
+    assert pivots == list(range(4))
+    a = [row[4:] for row in red]
+    singular = [list(row) for row in a]
+    singular[1][1] = f.mul(f.mul(a[0][1], a[1][0]), f.inv(a[0][0]))
+    calls = []
+    mul = Field.mul
+    monkeypatch.setattr(Field, "mul", lambda self, x, y: calls.append((x, y)) or mul(self, x, y))
+    assert minors_nonzero(f, a)
+    assert len(calls) == sum(s * comb(4, s) * comb(5, s) for s in range(2, 5))
+    calls.clear()
+    assert not minors_nonzero(f, singular)
+    assert len(calls) == 2
+
+
+def test_mds_fails_on_a_3x3_minor_alone():
+    # systematic Reed-Solomon [12,6] over GF(257) with A[5][5] solved so that the
+    # last 3x3 minor of A (rows and columns 3-5) is singular, while every entry and
+    # every 2x2 minor stays nonzero: only the 3x3 level can reject it
+    spec = FieldSpec(257)
+    f = Field(spec)
+    red, pivots = rref(f, _rs_matrix(spec, 12, 6).rows)
+    assert pivots == list(range(6))
+    a = [row[6:] for row in red]
+
+    def last_3x3(v):
+        return [row[3:5] + [v if i == 5 else row[5]] for i, row in enumerate(a[3:], 3)]
+
+    a[5][5] = next(v for v in range(1, 257) if mat_rank(f, last_3x3(v)) < 3)
+    assert _minors_ranked(f, a, (1, 2))
+    assert not minors_nonzero(f, a)
+    gm = matrix_from_rows(spec, [row[:6] + arow for row, arow in zip(red, a)])
+    assert not is_mds_code(gm)
+    assert not _mds_by_combinations(gm, mat_rank)
+
+
+@pytest.mark.parametrize("text, n, k", [("257", 16, 8), ("257", 20, 5), ("2^8:285", 16, 8)])
+def test_larger_reed_solomon_is_mds(text, n, k):
+    # C(n,k) - 1 - k(n-k) minors of A: 12,805 for [16,8], 15,428 for [20,5]
+    spec = parse_field(text)
+    gm = _rs_matrix(spec, n, k)
+    assert is_mds_code(gm)
+    # column 5 becomes 3 times column 2 plus 5 times column 3: those three columns are dependent
+    f = Field(spec)
+    rows = [list(row) for row in gm.rows]
+    for row in rows:
+        row[5] = f.add(f.mul(3, row[2]), f.mul(5, row[3]))
+    assert not is_mds_code(matrix_from_rows(spec, rows))
 
 
 def test_mds_degenerate_shapes():
