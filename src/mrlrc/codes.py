@@ -6,10 +6,10 @@ every call (no memo; the checks below rarely rank a set twice).
 `is_mr_lrc` ranks through it.  `is_mds_code` ranks no column set: one
 elimination brings G to systematic form [I | A], and the code is MDS iff
 every square submatrix of A is nonsingular.  `gf.minors_nonzero` tests
-that by cofactor expansion, s ascending, rows and columns in `combinations`
+that by cofactor expansion, s ascending, the shorter side in `combinations`
 order: each s x s minor from the (s-1)-minors, the one level it keeps, and
-the first zero minor answers.  The refusal weighs each submatrix as a
-d x d rank, d^3 steps, an upper bound on that.  Contraction and deletion of
+the first zero minor answers.  The refusal weighs that expansion, s
+multiply-adds per s x s minor.  Contraction and deletion of
 the matroid are shortening and puncturing of the code, and
 `shorten_then_puncture` is the one code minor: it eliminates the contracted
 columns once and keeps the other rows on the columns that survive, in the
@@ -36,14 +36,13 @@ from .matroid import Matroid
 from .mr import MrParams
 from .subsets import MAX_GROUND, bits_of, full_mask, masks_of_size
 
-# The most elimination steps one `is_mds_code` or `is_mr_lrc` call, or one
-# whole search (all its trials), may take, a d x d rank weighing d^3 steps.
-# A step takes 1.1-1.6 us over GF(257) or GF(2^8) (2-CPU x86-64 VM), so an
-# admitted check answers within about a minute; an [18,9] column-set scan,
-# C(18,9) = 48,620 9x9 ranks or 35.4M steps (~40 s), is just past the limit.
-# The MDS check counts the square submatrices of A it tests, each weighed
-# as a min(k, n-k) x min(k, n-k) rank: an upper bound, since an s x s minor
-# costs s multiply-adds once the (s-1)-minors are known.
+# The most steps one `is_mds_code` or `is_mr_lrc` call, or one whole search
+# (all its trials), may take, a d x d rank weighing d^3 steps and an s x s
+# minor of the MDS expansion s.  A step takes 1.1-1.6 us over GF(257) or
+# GF(2^8) (2-CPU x86-64 VM), so an admitted check answers within about a
+# minute: an [18,9] column-set scan, C(18,9) = 48,620 9x9 ranks or 35.4M
+# steps (~40 s), is just past the limit; a [24,12] Reed-Solomon MDS check
+# over GF(257), 12 C(23,12) = 16.2M steps, answers in about 7 s.
 _CODE_LIMIT = 1 << 25
 
 
@@ -97,10 +96,10 @@ def code_to_matroid(gm: GenMatrix) -> LinearMatroid:
     return LinearMatroid(gm)
 
 
-def _refuse_ranks(work: str, count: int, d: int) -> None:
-    """SizeRefusal when `work`, `count` ranks of d x d matrices, passes _CODE_LIMIT steps."""
-    if count * d**3 > _CODE_LIMIT:
-        raise SizeRefusal(f"{work}: {count * d**3} steps at d^3 per {d}x{d} rank; limit is {_CODE_LIMIT}")
+def _refuse(work: str, steps: int, weight: str) -> None:
+    """SizeRefusal when `work`, `steps` steps at `weight` each, passes _CODE_LIMIT."""
+    if steps > _CODE_LIMIT:
+        raise SizeRefusal(f"{work}: {steps} steps at {weight}; limit is {_CODE_LIMIT}")
 
 
 def is_mds_code(gm: GenMatrix) -> bool:
@@ -113,23 +112,19 @@ def is_mds_code(gm: GenMatrix) -> bool:
     exactly one S.  So the code is MDS iff every entry of A is nonzero and
     every s x s minor, 2 <= s <= min(k, |Q|), is nonzero (MacWilliams and
     Sloane, ch. 11, Thm 8).  `minors_nonzero` expands them by s ascending,
-    rows and columns in `combinations` order, keeping only the (s-1)-minors,
+    the shorter side's sets in `combinations` order, keeping the (s-1)-minors,
     and stops at the first zero one.  A and the dual's A are transposes up
-    to sign, so no dual is built.  The refusal counts the submatrices,
-    sum over 2 <= s <= d of C(k, s) C(n-k, s), d = min(k, n-k), each
-    weighed as a d x d rank, d^3 steps: an upper bound on the expansion,
-    which takes s multiply-adds per s x s minor.
+    to sign, so no dual is built.  The refusal weighs each s x s minor at its
+    s multiply-adds: sum over s of s C(k, s) C(n-k, s) = k C(n-1, k) steps.
     """
     full_mask(gm.n)  # the 64-column limit, exit 3, before any count of the work
-    d = min(gm.k, gm.n - gm.k)
-    count = sum(comb(gm.k, s) * comb(gm.n - gm.k, s) for s in range(2, d + 1))
-    _refuse_ranks(f"MDS check would rank {count} square submatrices of A", count, d)
+    n, k = gm.n, gm.k
+    work = f"MDS check would expand C({n},{k}) - 1 = {comb(n, k) - 1} square submatrices of A"
+    _refuse(work, k * comb(n - 1, k) if n > k else 0, "s multiply-adds per s x s minor")
     f = Field(gm.field)
     red, pivots = rref(f, gm.rows)
-    if len(pivots) < gm.k:
-        return False
-    q = [j for j in range(gm.n) if j not in pivots]
-    return minors_nonzero(f, [[row[j] for j in q] for row in red])
+    q = [j for j in range(n) if j not in pivots]
+    return len(pivots) == k and minors_nonzero(f, [[row[j] for j in q] for row in red])
 
 
 def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
@@ -145,7 +140,8 @@ def is_mr_lrc(gm: GenMatrix, p: MrParams) -> bool:
         )
     full_mask(gm.n)  # the 64-column limit, exit 3, before any count of the work
     sets = comb(p.n, p.k)
-    _refuse_ranks(f"MR check would rank C({p.n},{p.k}) = {sets} column sets", sets, p.k)
+    work = f"MR check would rank C({p.n},{p.k}) = {sets} column sets"
+    _refuse(work, sets * p.k**3, f"d^3 per {p.k}x{p.k} rank")
     m = LinearMatroid(gm)
     return all(m.rank(b) <= p.r for b in p.repair_sets) and all(
         m.rank(x) == p.k
@@ -216,9 +212,10 @@ def _heavy_rows_are_mr(f: Field, p: MrParams, heavy) -> bool:
     `_difference_sets` choice has rank h.  A rank-deficient H fails them all.
     """
     cols = [[row[j] for row in heavy] for j in range(p.n)]
+    negs = [[f.neg(x) for x in col] for col in cols]
     groups = tuple(bits_of(b) for b in p.repair_sets)
     diff = {
-        (a, c): [f.sub(x, y) for x, y in zip(cols[c], cols[a])]
+        (a, c): [f.add(x, y) for x, y in zip(cols[c], negs[a])]
         for g in groups
         for a, c in combinations(g, 2)
     }

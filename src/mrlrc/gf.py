@@ -203,7 +203,7 @@ def _tables(spec: FieldSpec) -> tuple[list, list, list]:
 
 
 class Field:
-    """Arithmetic on canonical integer elements of GF(p^m), by table lookup."""
+    """add, neg, mul and inv on canonical integer elements of GF(p^m), by table lookup."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -230,9 +230,6 @@ class Field:
     def neg(self, a: int) -> int:
         self._check(a)
         return self._exp[self._log[a] + self._log_minus_one] if a else 0
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
@@ -271,8 +268,9 @@ def _eliminate(field: Field, rows, cols):
         prow = rows[piv] = [field.mul(inv, v) for v in rows[piv]]
         for i, row in enumerate(rows):
             if i != piv and row[col] != 0:
-                f = row[col]
-                rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(row, prow)]
+                # v - f w = v + (-f) w: one negation per row, not per entry
+                nf = field.neg(row[col])
+                rows[i] = [field.add(v, field.mul(nf, w)) for v, w in zip(row, prow)]
         pivots.append((piv, col))
     return rows, pivots
 
@@ -295,10 +293,13 @@ def minors_nonzero(field: Field, a) -> bool:
     False.  Only the previous level is kept, for each R a list of its
     minors in the order of P; the last level is not stored.  A level's
     values are its determinants times one common sign, which no zero test
-    sees.
+    sees.  A tall `a` is expanded as its transpose (det a^T = det a), so
+    that the row sets, each with its own set-up, are the fewer.
     """
     if not all(map(all, a)):
         return False
+    if a and len(a) > len(a[0]):
+        a = list(zip(*a))
     k, m = len(a), len(a[0]) if a else 0
     add, mul = field.add, field.mul
     # the odd terms of an expansion take their entry negated

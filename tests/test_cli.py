@@ -483,16 +483,18 @@ def test_huge_indices_are_refused_at_once(tmp_path):
 
 
 def test_wide_code_checks_are_refused_at_once(tmp_path, capsys):
-    # each would take past the 2^25-step limit: C(24,12) - 1 - 144 square submatrices
-    # of A for MDS, C(24,12) 12x12 column sets for --mr, or per search trial
-    # 271,151 6x6 difference matrices; refused before the first rank.
+    # each would take past the 2^25-step limit: 13 C(25,13) multiply-adds over the
+    # C(26,13) - 1 square submatrices of A for a [26,13] MDS check, C(24,12) 12x12
+    # column sets for --mr, or per search trial 271,151 6x6 difference matrices;
+    # refused before the first rank.
     # A search past n = 64 is refused before it builds the repair sets, also at
     # h = 0 (one check per trial) and h = 1
-    mat = tmp_path / "m.txt"
-    rows = [" ".join("1" if j % 12 == i else "0" for j in range(24)) for i in range(12)]
-    mat.write_text("field 257\n12 24\n" + "\n".join(rows) + "\n")
+    mat, wide = tmp_path / "m.txt", tmp_path / "w.txt"
+    for path, k in ((mat, 12), (wide, 13)):
+        rows = [" ".join("1" if j % k == i else "0" for j in range(2 * k)) for i in range(k)]
+        path.write_text(f"field 257\n{k} {2 * k}\n" + "\n".join(rows) + "\n")
     runs = [
-        ["code", "check", str(mat)],
+        ["code", "check", str(wide)],
         ["code", "check", str(mat), "--mr", "24,12,3"],
         ["code", "search", "24,12,3", "--field", "257", "--seed", "1"],
         ["code", "search", "200000,100000,1", "--field", "257", "--seed", "1"],
@@ -501,7 +503,7 @@ def test_wide_code_checks_are_refused_at_once(tmp_path, capsys):
     got = _timed_runs(runs)
     assert [code for code, _ in got] == [4] * 5
     assert all(seconds < 1 for _, seconds in got), got
-    counts = ["2704011 square submatrices of A", "C(24,12) = 2704156 column sets"]
+    counts = ["C(26,13) - 1 = 10400599 square submatrices of A", "C(24,12) = 2704156 column sets"]
     counts += ["271151 6x6 difference matrices per trial"]
     counts += ["n=200000 code; limit is n <= 64", "n=131072 code; limit is n <= 64"]
     for argv, count in zip(runs, counts):

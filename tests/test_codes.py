@@ -59,10 +59,13 @@ def test_singleton_violation_is_not_mds():
 
 
 def test_mds_refusal():
-    # the limit weighs ranked submatrices, not columns: a [25,1] code's A is 1x24 and ranks none
+    # the limit weighs the expansion, not columns: a [25,1] code's A is 1x24, 24 entries
     assert is_mds_code(matrix_from_rows(FieldSpec(2), [[1] * 25]))
+    # [24,12] is 12 C(23,12) = 16224936 steps, admitted (this A has zero entries);
+    # [26,13] is 13 C(25,13) = 67603900, past the limit
+    assert not is_mds_code(matrix_from_rows(FieldSpec(13), [[1] * 24 for _ in range(12)]))
     with pytest.raises(SizeRefusal):
-        is_mds_code(matrix_from_rows(FieldSpec(13), [[1] * 24 for _ in range(12)]))
+        is_mds_code(matrix_from_rows(FieldSpec(13), [[1] * 26 for _ in range(13)]))
     # past the 64-element ground limit a matrix is still a typed error
     with pytest.raises(ValueError, match="ground size"):
         is_mds_code(matrix_from_rows(FieldSpec(2), [[1] * 65]))
@@ -75,17 +78,20 @@ def test_refusals_state_the_work():
     msg = r"C\(30,15\) = 155117520 column sets: 523521630000 steps at d\^3 per 15x15 rank; limit is 33554432"
     with pytest.raises(SizeRefusal, match=msg):
         is_mr_lrc(gm, make_params(30, 15, 4))
-    # the MDS check names the square submatrices of A = 15x15 it ranks, C(30,15) - 1 - 15^2 of them
-    msg = r"155117294 square submatrices of A: 523520867250 steps at d\^3 per 15x15 rank; limit is 33554432"
+    # the MDS check names the square submatrices of A = 15x15 it tests, C(30,15) - 1 of them,
+    # and their s multiply-adds per s x s minor, 15 C(29,15) in all
+    msg = (
+        r"C\(30,15\) - 1 = 155117519 square submatrices of A: 1163381400 steps at s multiply-adds"
+        r" per s x s minor; limit is 33554432"
+    )
     with pytest.raises(SizeRefusal, match=msg):
         is_mds_code(gm)
     # few column sets can still be too much work when each is wide: C(64,61) = 41664 61x61 ranks
     with pytest.raises(SizeRefusal, match=r"C\(64,61\) = 41664 column sets: 9456936384 steps"):
         is_mr_lrc(matrix_from_rows(FieldSpec(13), [[0] * 64 for _ in range(61)]), make_params(64, 61, 31))
-    # a high-rate code is weighed at d = min(k, n-k) = n - k: A is 30x10, so
-    # C(40,10) - 1 - 300 submatrices of at most 10x10
+    # a high-rate code: A is 30x10, C(40,30) - 1 submatrices of at most 10x10, 30 C(39,30) steps
     gm = matrix_from_rows(FieldSpec(13), [[0] * 40 for _ in range(30)])
-    with pytest.raises(SizeRefusal, match=r"847660227 square submatrices of A: 847660227000 steps at d\^3 per 10x10"):
+    with pytest.raises(SizeRefusal, match=r"C\(40,30\) - 1 = 847660527 square submatrices of A: 6357453960 steps"):
         is_mds_code(gm)
 
 
@@ -606,6 +612,18 @@ def test_minors_nonzero_stops_at_the_first_zero_minor(monkeypatch):
     calls.clear()
     assert not minors_nonzero(f, singular)
     assert len(calls) == 2
+    # a tall matrix is expanded as its transpose: the 5x4 transpose of a costs the
+    # products of a, and the singular minor at its rows 3, 4 and columns 0, 1 (rows 0, 1
+    # and columns 3, 4 of a, the 10th 2x2 minor of a) costs 10 minors, not 55
+    late = [list(row) for row in a]
+    late[1][4] = f.mul(f.mul(a[0][4], a[1][3]), f.inv(a[0][3]))
+    for wide, products in ((a, sum(s * comb(4, s) * comb(5, s) for s in range(2, 5))), (late, 20)):
+        calls.clear()
+        assert minors_nonzero(f, wide) == (wide is a)
+        assert len(calls) == products
+        calls.clear()
+        assert minors_nonzero(f, [list(col) for col in zip(*wide)]) == (wide is a)
+        assert len(calls) == products
 
 
 def test_mds_fails_on_a_3x3_minor_alone():
@@ -629,9 +647,10 @@ def test_mds_fails_on_a_3x3_minor_alone():
     assert not _mds_by_combinations(gm, mat_rank)
 
 
-@pytest.mark.parametrize("text, n, k", [("257", 16, 8), ("257", 20, 5), ("2^8:285", 16, 8)])
+@pytest.mark.parametrize("text, n, k", [("257", 16, 8), ("257", 20, 5), ("257", 20, 10), ("2^8:285", 16, 8)])
 def test_larger_reed_solomon_is_mds(text, n, k):
-    # C(n,k) - 1 - k(n-k) minors of A: 12,805 for [16,8], 15,428 for [20,5]
+    # C(n,k) - 1 - k(n-k) minors of A: 12,805 for [16,8], 15,428 for [20,5], 184,655 for
+    # [20,10], which the refusal admits at 10 C(19,10) = 923,780 multiply-adds
     spec = parse_field(text)
     gm = _rs_matrix(spec, n, k)
     assert is_mds_code(gm)

@@ -348,3 +348,63 @@ def test_constructed_sizes_never_beat_oracle():
                 continue
             best, _ = oracle_max_uniform(m, kp)
             assert w.claimed_size <= best, (n, k, r, kp)
+
+
+def _exact_dp(p, k_prime):
+    """Largest rank-k' uniform minor of the MR matroid, by a DP over the blocks.
+
+    The minor contracts a flat F of rank k - k' (Scum theorem).  Below rank k a
+    flat meets each repair set in t = 0..r-1 members (rank t) or in all r + 1
+    (rank r), and the least deletion then removes one member of each leftover
+    b - F of size <= k'.  So each block costs t, plus 1 when its leftover r + 1 - t
+    is at most k', and the DP finds the least total cost over profiles whose
+    ranks sum to k - k'.  The minor has n minus that many elements.
+    """
+    profiles = [(t, t + (p.r + 1 - t <= k_prime)) for t in range(p.r)] + [(p.r, p.r + 1)]
+    need = p.k - k_prime
+    least = {0: 0}  # rank so far -> least cost
+    for _ in range(p.g):
+        nxt = {}
+        for rank, cost in least.items():
+            for dr, dc in profiles:
+                if rank + dr <= need and cost + dc < nxt.get(rank + dr, p.n + 1):
+                    nxt[rank + dr] = cost + dc
+        least = nxt
+    return p.n - least[need]
+
+
+def _seeded(n, k, r):
+    perm = list(range(n))
+    random.Random(f"dp:{n},{k},{r}").shuffle(perm)
+    return make_mr(n, k, r, [mask_of(perm[i : i + r + 1]) for i in range(0, n, r + 1)])
+
+
+def test_oracle_matches_the_exact_dp():
+    # the exhaustive oracle on the contiguous and on one seeded partition, every k'
+    pairs = 0
+    for n, k, r in valid_param_triples(10):
+        for m in (make_mr(n, k, r), _seeded(n, k, r)):
+            table = oracle_max_uniform_all(m)
+            assert table == {kp: _exact_dp(m.params, kp) for kp in range(2, k + 1)}, (m.params, table)
+            pairs += len(table)
+    assert pairs == 146
+
+
+def test_witnesses_have_the_exact_dp_size():
+    # every constructed witness is a largest uniform minor of its rank, and it is
+    # flagged a boundary case exactly where that largest size beats the closed form;
+    # the eq3 gap cases, where F comes from the exhaustive oracle, stop at n = 12
+    # (3 of the 8 that the oracle admits, up to n = 15), next to 1,608 others
+    count = 0
+    for n, k, r in valid_param_triples(22):
+        m = make_mr(n, k, r)
+        p = m.params
+        ws = [witness_eq1(m), witness_eq2(m)]
+        ws += [witness_eq3(m, kp) for kp in eq3_range(p) if n <= 12 or _spread(p, k - kp, r - kp) is not None]
+        ws += [witness_eq4(m, kp) for kp in eq4_range(p)]
+        for w in ws:
+            best = _exact_dp(p, w.target_rank)
+            assert w.verified and w.claimed_size == best, (n, k, r, w.to_line())
+            assert w.boundary_case == (best > w.formula_size), (n, k, r, w.to_line())
+            count += 1
+    assert count == 1611
