@@ -8,9 +8,11 @@ checking and flats rank each of the 2^t subsets of the t-element ground
 once, in one table indexed by dense index (bit j of an index is the j-th
 ground member), so their memory is 2^t whatever the highest member; both
 walk that table the same way, through reshaped views whose axes are bits
-of the index.  Uniformity ranks the k-subsets in batches.  Closure is a
-method, `Matroid.closure`: the generic rank scan here, which a matroid
-with a closed form (`mr.MrMatroid`) overrides.
+of the index.  Uniformity ranks the k-subsets in batches.  Closure and
+the uniformity of a minor are methods, `Matroid.closure` and
+`Matroid.uniform_minor`: the generic rank scans here, which a matroid
+with closed forms (`mr.MrMatroid`) overrides.  The scans hold masks in
+int64 arrays, so a member at bit 63 is refused (`subsets.as_int64`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
 from .subsets import (
+    as_int64,
     bits_of,
     full_mask,
     mask_batches,
@@ -74,6 +77,15 @@ class Matroid:
             if self.rank(x | (1 << e)) == r:
                 out |= 1 << e
         return out
+
+    def uniform_minor(self, f: int, x: int):
+        """(size, rank) if M/f\\x is the uniform matroid of its rank, else None.
+
+        The generic rule is is_uniform's scan of the minor's k-subsets;
+        MrMatroid overrides it with its closed form, which tests check
+        against this scan.
+        """
+        return is_uniform(minor(self, f, x))
 
     def _check_subset(self, x: int) -> None:
         if x & ~self.ground:
@@ -130,9 +142,7 @@ class MinorView(Matroid):
         return self.base.rank(x | self.contract) - self._r0
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return self.base.rank_array(masks | np.int64(self.contract)) - self._r0
+        return self.base.rank_array(masks | as_int64(self.contract)) - self._r0
 
 
 def minor(m: Matroid, contract_x: int, delete_y: int) -> MinorView:
@@ -151,7 +161,8 @@ def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
     so subs ascends and memory is O(2^t) whatever the highest member.
     rk holds their ranks, from rank_array in batches of _RANK_BATCH masks.
     Axis 1 of x.reshape(-1, 2, 2^j) is bit j of the index, for x either
-    array.  A member at bit 63 does not fit int64 (OverflowError).
+    array.  A member at bit 63 does not fit int64 and is refused
+    (ParameterError, from as_int64).
     """
     import numpy as np
 
@@ -162,7 +173,7 @@ def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
         lo = (rest & -rest).bit_length() - 1
         run = ((rest >> lo) ^ ((rest >> lo) + 1)).bit_length() - 1
         members = ((1 << run) - 1) << lo
-        subs |= (idx << (lo - j)) & np.int64(members)
+        subs |= (idx << (lo - j)) & as_int64(members)
         j, rest = j + run, rest & ~members
     rk = np.empty_like(subs)
     for i in range(0, len(subs), _RANK_BATCH):
@@ -265,6 +276,9 @@ def is_uniform(m: Matroid):
     scan stops at the first batch with a rank-deficient subset.  A rank-0
     matroid needs no case of its own: its one 0-subset, the empty set, has
     rank 0, so it is U_t^0.  Refuses above _UNIFORM_LIMIT = 2^26 k-subsets.
+    It is the generic body of `Matroid.uniform_minor`; an MrMatroid
+    certifies its minors in closed form instead, so this scan serves other
+    matroids (views, linear and table matroids) and the tests' reference.
     """
     t = m.ground_size
     k = m.full_rank()

@@ -13,8 +13,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
-from .matroid import _FLATS_LIMIT, Matroid
+from .matroid import _FLATS_LIMIT, Matroid, minor
 from .subsets import (
+    as_int64,
     format_indices,
     full_mask,
     mask_of,
@@ -139,6 +140,25 @@ class MrMatroid(Matroid):
                 out |= rest
         return out
 
+    def uniform_minor(self, f: int, x: int):
+        """(size, rank) if M/f\\x is uniform, else None, in closed form: one pass over the repair sets.
+
+        Let K = E - f - x and k' = r(f + K) - r(f).  If r(f) = k, then
+        k' = 0 and the minor is U^0.  Otherwise r(f) = |f| - #full(f), and
+        a set A of at most k' members of K has |f + A| - #full(f + A) =
+        r(f) + |A| - #{b not in f : b - f inside A} <= r(f) + k' <= k, so
+        the truncation never binds: A is dependent in M/f exactly when it
+        holds some leftover b - f.  So the minor is U^{k'}_{|K|} iff no
+        repair set b outside f has its leftover inside K with |b - f| <= k'.
+        """
+        view = minor(self, f, x)
+        k_prime = view.full_rank()
+        for b in self.params.repair_sets:
+            rest = b & ~f
+            if rest and rest & ~view.ground == 0 and rest.bit_count() <= k_prime:
+                return None
+        return view.ground_size, k_prime
+
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized rank, with the repair sets classified once per batch.
 
@@ -167,7 +187,7 @@ class MrMatroid(Matroid):
                 maybe.append(b)
         rank = size - whole
         for b in maybe:
-            bb = np.int64(b)
+            bb = as_int64(b)
             rank -= (masks & bb) == bb
         return np.minimum(self.params.k, rank)
 

@@ -87,6 +87,10 @@ def masks_of_size(mask: int, t: int) -> Iterator[int]:
 def mask_batches(mask: int, t: int, size: int) -> Iterator[np.ndarray]:
     """Yield the size-t submasks of mask as int64 arrays of `size` masks (the last may be shorter).
 
+    These are the k-subsets that `matroid.is_uniform` ranks, the generic
+    uniformity scan; an MR matroid's witnesses are certified in closed form
+    and take none of them.
+
     The members split into a low half and a high half of at most 16
     members.  For each count i of low members, the size-i subsets of the
     low half (one np.fromiter table) are crossed with the size-(t - i)
@@ -97,10 +101,12 @@ def mask_batches(mask: int, t: int, size: int) -> Iterator[np.ndarray]:
     masks use no split and come out in masks_of_size order.  Each table
     holds at most C(|mask|, t) masks and each block at most
     max(_BLOCK, C(16, 8)) masks, copied into the batch being filled, so
-    memory stays near one batch.  A member at bit 63 overflows int64
-    (OverflowError).
+    memory stays near one batch.  A member at bit 63 does not fit int64
+    and is refused (ParameterError, from as_int64).
     """
     import numpy as np
+
+    as_int64(mask)
 
     def table(half, i):
         return np.fromiter(map(sum, combinations(half, i)), dtype=np.int64, count=comb(len(half), i))
@@ -127,6 +133,15 @@ def mask_batches(mask: int, t: int, size: int) -> Iterator[np.ndarray]:
                     yield out
                     left -= fill
                     out, fill = np.empty(min(size, left), dtype=np.int64), 0
+
+
+def as_int64(mask: int) -> np.int64:
+    """mask as an int64 array entry; a member at bit 63 does not fit and is a ParameterError."""
+    import numpy as np
+
+    if mask >> 63:
+        raise ParameterError(f"member 63 of mask {mask:#x} does not fit the int64 masks of a rank scan")
+    return np.int64(mask)
 
 
 def format_indices(mask: int) -> str:

@@ -196,11 +196,12 @@ def test_crash_exit_code(capsys, monkeypatch):
 
 
 def test_witness_refuses_unbounded_verification(capsys):
-    # the eq1 minor of (48,24,3) has C(36,24) k-subsets, past the uniformity budget
+    # the eq1 minor of (48,24,3) has C(36,24) k-subsets, past is_uniform's budget; the
+    # MR closed form ranks none of them (is_uniform's refusal: test_matroid)
     code, out, err = run(capsys, "witness", "48,24,3", "--eq", "1")
-    assert code == 4
-    assert "uniformity check would rank C(36,24) = 1251677700 subsets; limit is 67108864" in err
-    assert out == ""
+    assert code == 0
+    assert out == "F=; X=0,4,8,12,16,20,24,28,32,36,40,44; k'=24; n'=36; verified=true; boundary=false\n"
+    assert err == ""
 
 
 def test_oracle_refusal_states_its_work(capsys):

@@ -129,6 +129,35 @@ def test_closure_closed_form_matches_rank_scan():
         make_mr(8, 4, 3).closure(1 << 8)
 
 
+def test_uniform_minor_closed_form_matches_is_uniform():
+    """MrMatroid.uniform_minor equals is_uniform of the minor on seeded (F, X), n <= 15.
+
+    F is a random set (rarely a flat, so leftovers of one member are loops)
+    or its closure; X is random outside F.  Both verdicts occur for each.
+    """
+    rng = random.Random(26)
+    verdicts = {}
+    for n, k, r in valid_param_triples(15):
+        for partition in (None, _seeded_partition(rng, n, r)):
+            m = make_mr(n, k, r, partition)
+            for i in range(24):
+                f = rng.getrandbits(n) & rng.getrandbits(n)
+                if i % 2:
+                    f = m.closure(f)
+                x = rng.getrandbits(n) & rng.getrandbits(n) & ~f
+                got = m.uniform_minor(f, x)
+                assert got == Matroid.uniform_minor(m, f, x), (n, k, r, partition, f, x)
+                key = (i % 2, got is None)
+                verdicts[key] = verdicts.get(key, 0) + 1
+    assert len(verdicts) == 4, verdicts
+    assert 4 * (verdicts[0, True] + verdicts[1, True]) >= sum(verdicts.values()), verdicts
+    m = make_mr(8, 4, 3)
+    with pytest.raises(ParameterError):
+        m.uniform_minor(0b11, 0b10)
+    with pytest.raises(ValueError):
+        m.uniform_minor(0, 1 << 8)
+
+
 def test_verify_witness_rejects_non_flat_on_seeded_partition():
     m = make_mr(8, 4, 3, partition=[mask_of([0, 2, 4, 6]), mask_of([1, 3, 5, 7])])
     f = mask_of([0, 2, 4])
