@@ -14,7 +14,7 @@ that leaves a uniform minor.
 `verify_witness` re-derives a certificate through the matroid's own
 rules, `Matroid.closure` and `Matroid.uniform_minor`.  For an MR matroid
 both are closed forms of O(g) steps that rank no subset and import no
-numpy, so every construction verifies at any n <= 64.  The uniformity
+numpy, so verification answers at any n <= 64.  The uniformity
 rule rests on the same circuit argument as the builder, so the tests
 check it against the generic `matroid.is_uniform` scan, which still
 certifies the minors of every other matroid.
