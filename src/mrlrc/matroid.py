@@ -8,7 +8,8 @@ checking and flats rank each of the 2^t subsets of the t-element ground
 once, in one table indexed by dense index (bit j of an index is the j-th
 ground member), so their memory is 2^t whatever the highest member; both
 walk that table the same way, through reshaped views whose axes are bits
-of the index.  Uniformity ranks the k-subsets in batches.  Closure and
+of the index.  Uniformity, `is_uniform`, ranks the k-subsets in batches:
+the generic reference scan, which takes seconds near its limit.  Closure and
 the uniformity of a minor are methods, `Matroid.closure` and
 `Matroid.uniform_minor`: the generic rank scans here, which a matroid
 with closed forms (`mr.MrMatroid`) overrides.  The scans hold masks in
@@ -27,7 +28,7 @@ from .subsets import (
     as_int64,
     bits_of,
     full_mask,
-    mask_batches,
+    masks_of_size,
     popcount_array,
 )
 
@@ -270,15 +271,19 @@ def is_uniform(m: Matroid):
     """Return (ground_size, k) if m is the uniform matroid of its rank, else None.
 
     Uses the standard reduction: m is uniform iff every subset of size
-    k = rank(E) has full rank.  The k-subset masks come from mask_batches
-    as numpy batches of _RANK_BATCH masks, built by ORs of half-tables, one
-    rank_array call each, so memory is bounded by about one batch and the
-    scan stops at the first batch with a rank-deficient subset.  A rank-0
-    matroid needs no case of its own: its one 0-subset, the empty set, has
-    rank 0, so it is U_t^0.  Refuses above _UNIFORM_LIMIT = 2^26 k-subsets.
-    It is the generic body of `Matroid.uniform_minor`; an MrMatroid
-    certifies its minors in closed form instead, so this scan serves other
-    matroids (views, linear and table matroids) and the tests' reference.
+    k = rank(E) has full rank.  The k-subset masks come from masks_of_size,
+    _RANK_BATCH at a time through np.fromiter, one rank_array call per
+    batch, so memory is bounded by about one batch and the scan stops at
+    the first batch with a rank-deficient subset.  A rank-0 matroid needs
+    no case of its own: its one 0-subset, the empty set, has rank 0, so it
+    is U_t^0.  A member at bit 63 does not fit int64 and is refused
+    (ParameterError, from as_int64).  Refuses above _UNIFORM_LIMIT = 2^26
+    k-subsets.  Near the limit it is slow: the 40,116,600 14-subsets of the
+    (35,14,4) eq1 minor take 7.7-9 s on a 2-CPU x86-64 VM, so 2^26 would
+    take about 13-15 s (extrapolated).  It is the generic body of
+    `Matroid.uniform_minor` and the tests' reference scan; an MrMatroid
+    certifies its minors in closed form instead, so this scan serves views,
+    linear and table matroids.
     """
     t = m.ground_size
     k = m.full_rank()
@@ -287,7 +292,12 @@ def is_uniform(m: Matroid):
         raise SizeRefusal(
             f"uniformity check would rank C({t},{k}) = {work} subsets; limit is {_UNIFORM_LIMIT}"
         )
-    for batch in mask_batches(m.ground, k, _RANK_BATCH):
+    import numpy as np
+
+    as_int64(m.ground)
+    masks = masks_of_size(m.ground, k)
+    for left in range(work, 0, -_RANK_BATCH):
+        batch = np.fromiter(masks, np.int64, count=min(left, _RANK_BATCH))
         if (m.rank_array(batch) != k).any():
             return None
     return (t, k)

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 from .errors import ParameterError, SizeRefusal
 from .matroid import _FLATS_LIMIT, Matroid, minor
 from .subsets import (
-    as_int64,
     format_indices,
     full_mask,
     mask_of,
@@ -160,35 +159,17 @@ class MrMatroid(Matroid):
         return view.ground_size, k_prime
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
-        """Vectorized rank, with the repair sets classified once per batch.
+        """Vectorized rank: popcount minus the repair sets each mask holds whole, truncated at k.
 
-        A mask holds the batch's AND (the members every mask shares) and
-        sits inside its OR, and no mask has more members than the largest
-        popcount p.  So a repair set inside the AND is full in every mask
-        and counts once; one not inside the OR, or with more than
-        p - |AND| members outside the AND, is full in no mask.  Only the
-        rest take the per-mask containment pass.  The result is the same
-        as ranking each mask alone.
+        One containment pass per repair set, on the masks' uint64 view, so
+        a repair set at bit 63 needs no int64 form.
         """
         import numpy as np
 
-        if not len(masks):
-            return np.zeros(0, dtype=np.int64)
-        size = popcount_array(masks)
         bits = masks.view(np.uint64)
-        common = int(np.bitwise_and.reduce(bits))
-        spread = int(np.bitwise_or.reduce(bits))
-        room = int(size.max()) - common.bit_count()
-        whole, maybe = 0, []
+        rank = popcount_array(masks)
         for b in self.params.repair_sets:
-            if b & common == b:
-                whole += 1
-            elif b & ~spread == 0 and (b & ~common).bit_count() <= room:
-                maybe.append(b)
-        rank = size - whole
-        for b in maybe:
-            bb = as_int64(b)
-            rank -= (masks & bb) == bb
+            rank -= (bits & b) == b
         return np.minimum(self.params.k, rank)
 
 

@@ -7,7 +7,6 @@ algebra is the usual &, |, ^, ~ restricted to the ground mask.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError
@@ -18,12 +17,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_GROUND = 64
-# mask_batches tabulates every member up to this many masks (one table, no split)
-_SPLIT_MIN = 256
-# members in mask_batches' high half; its tables stay <= C(16, 8) = 12,870 masks
-_HIGH_MAX = 16
-# masks per broadcast block of mask_batches, small enough to reuse freed heap
-_BLOCK = 1 << 13
 
 
 def full_mask(n: int) -> int:
@@ -82,57 +75,6 @@ def masks_of_size(mask: int, t: int) -> Iterator[int]:
     each tuple summed by map), so no Python code runs per mask.
     """
     return map(sum, combinations([1 << e for e in bits_of(mask)], t))
-
-
-def mask_batches(mask: int, t: int, size: int) -> Iterator[np.ndarray]:
-    """Yield the size-t submasks of mask as int64 arrays of `size` masks (the last may be shorter).
-
-    These are the k-subsets that `matroid.is_uniform` ranks, the generic
-    uniformity scan; an MR matroid's witnesses are certified in closed form
-    and take none of them.
-
-    The members split into a low half and a high half of at most 16
-    members.  For each count i of low members, the size-i subsets of the
-    low half (one np.fromiter table) are crossed with the size-(t - i)
-    subsets of the high half by one broadcast OR, a few rows at a time, so
-    Python work is per block of masks, not per mask.  Order: by i
-    ascending, then by low subset, then by high subset, each in
-    combinations-of-ascending-bits order.  Scans of at most _SPLIT_MIN
-    masks use no split and come out in masks_of_size order.  Each table
-    holds at most C(|mask|, t) masks and each block at most
-    max(_BLOCK, C(16, 8)) masks, copied into the batch being filled, so
-    memory stays near one batch.  A member at bit 63 does not fit int64
-    and is refused (ParameterError, from as_int64).
-    """
-    import numpy as np
-
-    as_int64(mask)
-
-    def table(half, i):
-        return np.fromiter(map(sum, combinations(half, i)), dtype=np.int64, count=comb(len(half), i))
-
-    bits = [1 << e for e in bits_of(mask)]
-    left = comb(len(bits), t)  # masks not yet handed out
-    if left <= _SPLIT_MIN:
-        masks = table(bits, t)
-        yield from (masks[s : s + size] for s in range(0, left, size))
-        return
-    cut = len(bits) - min(len(bits) // 2, _HIGH_MAX)
-    low, high = bits[:cut], bits[cut:]
-    out, fill = np.empty(min(size, left), dtype=np.int64), 0
-    for i in range(max(0, t - len(high)), min(t, len(low)) + 1):
-        rows, cols = table(low, i), table(high, t - i)
-        step = max(1, min(size, _BLOCK) // len(cols))
-        for a in range(0, len(rows), step):
-            block = (rows[a : a + step, None] | cols).ravel()
-            while block.size:
-                take = min(out.size - fill, block.size)
-                out[fill : fill + take] = block[:take]
-                fill, block = fill + take, block[take:]
-                if fill == out.size:
-                    yield out
-                    left -= fill
-                    out, fill = np.empty(min(size, left), dtype=np.int64), 0
 
 
 def as_int64(mask: int) -> np.int64:

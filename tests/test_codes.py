@@ -21,7 +21,7 @@ from mrlrc.codes import (
 from mrlrc.errors import ParameterError, SizeRefusal
 from mrlrc.gf import Field, FieldSpec, _eliminate, mat_rank, minors_nonzero, nullspace, parse_field, rref
 from mrlrc.matroid import minor
-from mrlrc.minors import witness_eq1, witness_eq2, witness_eq3
+from mrlrc.minors import MinorWitness, verify_witness, witness_eq1, witness_eq2, witness_eq3
 from mrlrc.mr import make_mr, make_params, parse_params
 from mrlrc.subsets import bits_of, mask_of, submasks
 
@@ -267,11 +267,21 @@ def test_witnesses_give_mds_codes():
     p = make_params(8, 4, 3)
     gm = search_mr_code(p, FieldSpec(13), trials=200, seed=7)
     m = make_mr(8, 4, 3)
+    lm = code_to_matroid(gm)
+    # eq3 has one witness here: 2 <= k' <= r - 1 = 2
     for w in (witness_eq1(m), witness_eq2(m), witness_eq3(m, 2)):
         sub = shorten_then_puncture(gm, w.contract_flat, w.delete_set)
         assert sub.n == w.claimed_size
         assert sub.k == w.target_rank
         assert is_mds_code(sub)
+        # the code's own matroid certifies it too, by the generic closure and is_uniform scans
+        assert verify_witness(lm, w)
+    # {0} is a flat, but {1,2,3} completes its repair set in M/{0}, so M/{0} is not U^3_7;
+    # {0,1,2} is no flat: it spans 3
+    for line in ("F=0; X=; k'=3; n'=7", "F=0,1,2; X=; k'=1; n'=5"):
+        w = MinorWitness.from_line(line)
+        assert not verify_witness(m, w)
+        assert not verify_witness(lm, w)
 
 
 def test_shorten_then_puncture_overlap_error():

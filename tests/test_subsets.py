@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from mrlrc.subsets import (
     format_indices,
     full_mask,
     lowest_bits,
-    mask_batches,
     mask_of,
     masks_of_size,
     parse_indices,
@@ -81,40 +79,6 @@ def test_masks_of_size_matches_loop():
             assert list(masks_of_size(mask, t)) == _masks_of_size_loop(mask, t), (mask, t)
         assert list(masks_of_size(mask, 0)) == [0]
         assert list(masks_of_size(mask, mask.bit_count() + 1)) == []
-
-
-def test_mask_batches_hold_masks_of_size():
-    rng = random.Random(23)
-    masks = [mask_of(rng.sample(range(63), size)) for size in [*range(21), 24]]
-    masks.append(full_mask(63) & ~full_mask(47))  # bits 47-62
-    for mask in masks:
-        p = mask.bit_count()
-        for t in range(p + 2):
-            count = comb(p, t)
-            # masks_of_size hands out one Python int per mask (~0.3 us), so above
-            # 2^16 masks the reference is its set by definition: C(p, t) distinct
-            # size-t submasks
-            want = np.sort(np.fromiter(masks_of_size(mask, t), np.int64)) if count <= 1 << 16 else None
-            for size in (1, 7, 64, 1 << 16):
-                if count > size << 12:
-                    continue  # more than 2^12 batches: a Python loop per few masks
-                batches = list(mask_batches(mask, t, size))
-                assert [len(b) for b in batches[:-1]] == [size] * (len(batches) - 1), (mask, t, size)
-                assert not batches or 0 < len(batches[-1]) <= size
-                got = np.sort(np.concatenate(batches)) if batches else np.empty(0, np.int64)
-                assert got.dtype == np.int64 and len(got) == count, (mask, t, size)
-                if want is not None:
-                    assert (got == want).all(), (mask, t, size)
-                else:
-                    assert (got[1:] != got[:-1]).all()
-                    assert not (got & ~mask).any() and (popcount_array(got) == t).all()
-
-
-def test_mask_batches_small_scan_keeps_masks_of_size_order():
-    mask = mask_of([1, 5, 9, 40, 62])
-    for t in range(6):
-        got = np.concatenate(list(mask_batches(mask, t, 3)))
-        assert list(got) == list(masks_of_size(mask, t))
 
 
 def test_popcount_array_matches_python():
