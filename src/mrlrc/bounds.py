@@ -84,18 +84,19 @@ def q_lower_gopalan(p: MrParams) -> int:
     return p.k + 1
 
 
-def _q_unconditional_raw(p: MrParams) -> int:
+def _q_unconditional_raw(p: MrParams, by_rank: dict[int, int] | None = None) -> int:
     """Field-size bound not relying on the MDS conjecture, before clamping.
 
     The MDS length bound q >= n' - k' + 1 of a U_{n'}^{k'} minor: the
     rank-2 minor (eq2 when r = 2, eq3 when r >= 3) or, for r = 1, which has
-    no rank-2 family, the rank-k minor of size n - g.
+    no rank-2 family, the rank-k minor of size n - g.  n' is read from
+    by_rank, the `_sizes_by_rank` of a report; without it, the sizes are
+    evaluated with eq3 at k' = 2 alone.
     """
-    if p.r == 1:
-        return eq1_size(p) - p.k + 1
-    if p.r == 2:
-        return eq2_size(p) - 1
-    return eq3_size(p, 2) - 1
+    if by_rank is None:
+        by_rank = _sizes_by_rank(p, eq3_range(p)[:1])
+    kp = p.k if p.r == 1 else 2
+    return by_rank[kp] - kp + 1
 
 
 def q_lower_unconditional(p: MrParams) -> int:
@@ -121,13 +122,13 @@ def q_lower_conjectural(p: MrParams) -> ConjecturalBound:
     the optimistic n'-1 and the safe n'-2, with a flag whenever some
     achieving rank could hit an exceptional case.
     """
-    return _conjectural(largest_uniform_size(p), _sizes_by_rank(p))
+    return _conjectural(largest_uniform_size(p), _sizes_by_rank(p, _listed(eq3_range(p), "eq3")))
 
 
-def _sizes_by_rank(p: MrParams) -> dict[int, int]:
-    """Formula size of each family the theorem maximises over, by rank:
-    eq1 (rank k), eq2 (rank r) and eq3 (2 <= k' <= r-1)."""
-    eq3 = {kp: eq3_size(p, kp) for kp in _listed(eq3_range(p), "eq3")}
+def _sizes_by_rank(p: MrParams, eq3_ranks: range) -> dict[int, int]:
+    """Formula size of the families the theorem maximises over, by rank, each evaluated once:
+    eq1 (rank k), eq2 (rank r) and eq3 at each of eq3_ranks (within 2 <= k' <= r-1)."""
+    eq3 = {kp: eq3_size(p, kp) for kp in eq3_ranks}
     return {p.k: eq1_size(p), p.r: eq2_size(p), **eq3}
 
 
@@ -249,8 +250,11 @@ class BoundsReport:
 
 
 def compute_bounds(p: MrParams) -> BoundsReport:
+    """Every size and bound of p, each formula size evaluated once."""
     eq4_ranks = _listed(eq4_range(p), "eq4")
-    by_rank = _sizes_by_rank(p)
+    eq3_ranks = _listed(eq3_range(p), "eq3")
+    by_rank = _sizes_by_rank(p, eq3_ranks)
+    q_raw = _q_unconditional_raw(p, by_rank)
     best = largest_uniform_size(p)
     if best != max(by_rank.values()):
         raise RuntimeError(
@@ -260,11 +264,11 @@ def compute_bounds(p: MrParams) -> BoundsReport:
         params=p,
         eq1_size=by_rank[p.k],
         eq2_size=by_rank[p.r],
-        eq3_sizes={kp: by_rank[kp] for kp in eq3_range(p)},
+        eq3_sizes={kp: by_rank[kp] for kp in eq3_ranks},
         eq4_sizes={kp: eq4_size(p, kp) for kp in eq4_ranks},
         largest_uniform=best,
-        q_unconditional=q_lower_unconditional(p),
-        q_unconditional_vacuous=_q_unconditional_raw(p) < 2,
+        q_unconditional=max(q_raw, 2),
+        q_unconditional_vacuous=q_raw < 2,
         q_conjectural=_conjectural(best, by_rank),
         q_gopalan=q_lower_gopalan(p),
         gopi_alpha=gopi_alpha(p),

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 _AXIOM_LIMIT = 20
 _FLATS_LIMIT = 24
 _RANK_BATCH = 1 << 16  # masks per rank_array call; bounds memory of big scans
-_UNIFORM_LIMIT = 1 << 26  # k-subsets is_uniform ranks before it refuses
+_UNIFORM_LIMIT = 1 << 23  # k-subsets is_uniform ranks before it refuses: about 1.5-2 s
 
 
 class Matroid:
@@ -277,10 +277,11 @@ def is_uniform(m: Matroid):
     the first batch with a rank-deficient subset.  A rank-0 matroid needs
     no case of its own: its one 0-subset, the empty set, has rank 0, so it
     is U_t^0.  A member at bit 63 does not fit int64 and is refused
-    (ParameterError, from as_int64).  Refuses above _UNIFORM_LIMIT = 2^26
-    k-subsets.  Near the limit it is slow: the 40,116,600 14-subsets of the
-    (35,14,4) eq1 minor take 7.7-9 s on a 2-CPU x86-64 VM, so 2^26 would
-    take about 13-15 s (extrapolated).  It is the generic body of
+    (ParameterError, from as_int64).  Refuses above _UNIFORM_LIMIT = 2^23 =
+    8,388,608 k-subsets, which bounds a scan to about 2 s: at about 0.2 us a
+    mask, the 6,906,900 9-subsets of the (35,9,4) eq1 minor take 1.1-1.4 s
+    on a 2-CPU x86-64 VM, and the 8,436,285 10-subsets of the (36,10,3) eq1
+    minor, just past the limit, took 1.5-1.8 s.  It is the generic body of
     `Matroid.uniform_minor` and the tests' reference scan; an MrMatroid
     certifies its minors in closed form instead, so this scan serves views,
     linear and table matroids.

@@ -35,7 +35,7 @@ path, not two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import eq1_size, eq2_size, eq3_size, eq4_size
 from .errors import ParameterError, SizeRefusal
@@ -52,7 +52,7 @@ from .subsets import (
 _ORACLE_LIMIT = 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinorWitness:
     """Certificate that minor(m, contract_flat, delete_set) = U_{claimed_size}^{target_rank}."""
 
@@ -118,15 +118,15 @@ def _witness(m: MrMatroid, f: int, k_prime: int, formula_size: int) -> MinorWitn
         if rest.bit_count() <= k_prime:
             x |= rest & -rest
     size = m.ground_size - f.bit_count() - x.bit_count()
-    w = MinorWitness(f, x, k_prime, size, boundary_case=size != formula_size, formula_size=formula_size)
-    return _verified(m, w)
+    return _verified(m, MinorWitness(f, x, k_prime, size, True, size != formula_size, formula_size))
 
 
 def _verified(m: Matroid, w: MinorWitness) -> MinorWitness:
-    """w marked verified; a RuntimeError if it fails, since every caller builds a uniform minor."""
+    """w, which its caller builds once and marks verified, after verify_witness accepts it;
+    a RuntimeError if it fails, since every caller builds a uniform minor."""
     if not verify_witness(m, w):
         raise RuntimeError(f"witness failed verification: {w.to_line()}")
-    return replace(w, verified=True)
+    return w
 
 
 def witness_eq1(m: MrMatroid) -> MinorWitness:
@@ -271,7 +271,7 @@ def _oracle_scan(m: Matroid, k_prime: int | None = None) -> dict[int, tuple[int,
         keep = _max_circuit_free(ground, _small_circuits(minor(m, f, 0), kp))
         size = keep.bit_count()
         if size > best[kp][0]:
-            best[kp] = (size, _verified(m, MinorWitness(f, ground & ~keep, kp, size)))
+            best[kp] = (size, _verified(m, MinorWitness(f, ground & ~keep, kp, size, True)))
     return best
 
 

@@ -8,16 +8,15 @@ truncation at k of the direct sum of the per-repair-set uniform ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
-from .matroid import _FLATS_LIMIT, Matroid, minor
+from .matroid import _FLATS_LIMIT, Matroid
 from .subsets import (
     format_indices,
     full_mask,
-    mask_of,
     parse_indices,
     popcount_array,
 )
@@ -28,25 +27,26 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class MrParams:
-    """Validated (n, k, r) with an explicit repair-set partition, None when contiguous."""
+    """Validated (n, k, r) with an explicit repair-set partition, None when contiguous.
+
+    g, the repair-set count, and h = g*r - k, the heavy parities, are set once at construction.
+    """
 
     n: int
     k: int
     r: int
     partition: tuple[int, ...] | None = None
+    g: int = field(init=False, repr=False, compare=False)
+    h: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "g", self.n // (self.r + 1))
+        object.__setattr__(self, "h", self.g * self.r - self.k)
 
     @cached_property
     def repair_sets(self) -> tuple[int, ...]:
         """The repair sets as masks; the contiguous ones are built on first read."""
         return self.partition or _contiguous_partition(self.n, self.r)
-
-    @property
-    def g(self) -> int:
-        return self.n // (self.r + 1)
-
-    @property
-    def h(self) -> int:
-        return self.g * self.r - self.k
 
     def to_text(self) -> str:
         base = f"{self.n},{self.k},{self.r}"
@@ -57,7 +57,8 @@ class MrParams:
 
 def _contiguous_partition(n: int, r: int) -> tuple[int, ...]:
     size = r + 1
-    return tuple(mask_of(range(i, i + size)) for i in range(0, n, size))
+    block = (1 << size) - 1
+    return tuple(block << i for i in range(0, n, size))
 
 
 def make_params(n: int, k: int, r: int, partition=None) -> MrParams:
@@ -103,7 +104,7 @@ def parse_params(text: str) -> MrParams:
     if len(fields) != 3:
         raise ValueError(f"expected 'n,k,r[:partition]', got {text!r}")
     try:
-        n, k, r = (int(f) for f in fields)
+        n, k, r = map(int, fields)
     except ValueError as exc:
         raise ValueError(f"non-integer parameter in {text!r}") from exc
     return make_params(n, k, r, partition)
@@ -149,14 +150,27 @@ class MrMatroid(Matroid):
         the truncation never binds: A is dependent in M/f exactly when it
         holds some leftover b - f.  So the minor is U^{k'}_{|K|} iff no
         repair set b outside f has its leftover inside K with |b - f| <= k'.
+        The same pass counts the repair sets inside f and inside f + K, so
+        k' = min(k, |f + K| - #full(f + K)) - min(k, |f| - #full(f)) is
+        counted there, with no minor view to rank through.
         """
-        view = minor(self, f, x)
-        k_prime = view.full_rank()
+        if f & x:
+            raise ParameterError("contract and delete sets overlap")
+        self._check_subset(f | x)
+        keep = self.ground & ~f & ~x
+        in_f = in_kept = 0
+        least = self.params.k + 1  # past every k'
         for b in self.params.repair_sets:
             rest = b & ~f
-            if rest and rest & ~view.ground == 0 and rest.bit_count() <= k_prime:
-                return None
-        return view.ground_size, k_prime
+            if not rest:
+                in_f += 1
+            elif rest & keep == rest:
+                in_kept += 1
+                least = min(least, rest.bit_count())
+        size, k = keep.bit_count(), self.params.k
+        rf = f.bit_count() - in_f  # r(f) before the truncation at k
+        k_prime = min(k, rf + size - in_kept) - min(k, rf)
+        return None if least <= k_prime else (size, k_prime)
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized rank: popcount minus the repair sets each mask holds whole, truncated at k.

@@ -87,7 +87,7 @@ def as_int64(mask: int) -> np.int64:
 
 
 def format_indices(mask: int) -> str:
-    return ",".join(str(i) for i in bits_of(mask))
+    return ",".join(map(str, bits_of(mask)))
 
 
 def parse_indices(text: str) -> int:

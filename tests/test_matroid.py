@@ -477,7 +477,7 @@ def test_is_uniform_memory_is_one_batch():
 def test_is_uniform_refusal_states_its_work(monkeypatch):
     # the eq1 minor of (48,24,3): one element deleted from each of the 12 repair sets
     view = minor(make_mr(48, 24, 3), 0, mask_of(range(0, 48, 4)))
-    with pytest.raises(SizeRefusal, match=r"would rank C\(36,24\) = 1251677700 subsets; limit is 67108864"):
+    with pytest.raises(SizeRefusal, match=r"would rank C\(36,24\) = 1251677700 subsets; limit is 8388608"):
         is_uniform(view)
     # the budget counts k-subsets: C(20, 11) = 167,960 is the first refused total
     view = _eq1_minor_22_11_10()

@@ -1,12 +1,13 @@
 import random
 from itertools import islice
+from math import comb
 
 import numpy as np
 import pytest
 
 from mrlrc.errors import ParameterError, SizeRefusal
 from mrlrc.matroid import Matroid, check_axioms, flats, minor
-from mrlrc.minors import MinorWitness, verify_witness
+from mrlrc.minors import MinorWitness, verify_witness, witness_eq1, witness_eq2, witness_eq3, witness_eq4
 from mrlrc.mr import (
     MrMatroid,
     make_mr,
@@ -15,7 +16,7 @@ from mrlrc.mr import (
     parse_params,
     valid_param_triples,
 )
-from mrlrc.subsets import mask_of, masks_of_size, submasks
+from mrlrc.subsets import bits_of, mask_of, masks_of_size, submasks
 
 
 def test_make_params_derived_values():
@@ -130,7 +131,8 @@ def test_closure_closed_form_matches_rank_scan():
 
 
 def test_uniform_minor_closed_form_matches_is_uniform():
-    """MrMatroid.uniform_minor equals is_uniform of the minor on seeded (F, X), n <= 15.
+    """MrMatroid.uniform_minor equals is_uniform of the minor on seeded (F, X), n <= 15,
+    and agrees with the rank formula on seeded (F, X) for 16 <= n <= 64.
 
     F is a random set (rarely a flat, so leftovers of one member are loops)
     or its closure; X is random outside F.  Both verdicts occur for each.
@@ -151,11 +153,80 @@ def test_uniform_minor_closed_form_matches_is_uniform():
                 verdicts[key] = verdicts.get(key, 0) + 1
     assert len(verdicts) == 4, verdicts
     assert 4 * (verdicts[0, True] + verdicts[1, True]) >= sum(verdicts.values()), verdicts
+    # 16 <= n <= 64, mostly past is_uniform's reach: k' against the rank formula
+    # through minor(); a None names a leftover of at most k' members that is
+    # dependent in the minor; minors of at most 5,000 k'-subsets are also scanned.
+    # Every n = 64 partition has a repair set holding bit 63.
+    large, scanned = {}, 0
+    triples = [t for t in valid_param_triples(64) if t[0] >= 16]
+    for n, k, r in rng.sample(triples, 60) + [t for t in triples if t[0] == 64][::9]:
+        for partition in (None, _seeded_partition(rng, n, r)):
+            m = make_mr(n, k, r, partition)
+            for f, x in _large_pairs(rng, m):
+                got = m.uniform_minor(f, x)
+                view = minor(m, f, x)
+                if got is None:
+                    assert any(
+                        b & ~f & ~view.ground == 0 and view.rank(b & ~f) < (b & ~f).bit_count() <= view.full_rank()
+                        for b in m.params.repair_sets
+                        if b & ~f
+                    ), (n, k, r, partition, f, x)
+                else:
+                    assert got == ((m.ground & ~f & ~x).bit_count(), view.full_rank()), (n, k, r, partition, f, x)
+                if comb(view.ground_size, view.full_rank()) <= 5000 and not (f | view.ground) >> 63:
+                    assert got == Matroid.uniform_minor(m, f, x), (n, k, r, partition, f, x)
+                    scanned += 1
+                key = (n == 64, got is None)
+                large[key] = large.get(key, 0) + 1
+    assert min(large.values()) >= 100 and len(large) == 4, large
+    assert scanned >= 300, scanned
     m = make_mr(8, 4, 3)
     with pytest.raises(ParameterError):
         m.uniform_minor(0b11, 0b10)
     with pytest.raises(ValueError):
         m.uniform_minor(0, 1 << 8)
+
+
+def _large_pairs(rng, m):
+    """Seeded (F, X) on m: random pairs as in the n <= 15 check and pairs that
+    delete one member of every leftover (uniform); pairs that keep one leftover
+    whole; and the eq1, eq2, eq3 and eq4 witnesses, each also with one deleted
+    member restored, which leaves a leftover of at most k' members whole."""
+    n, k, r = m.params.n, m.params.k, m.params.r
+    for i in range(8):
+        f = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        if i % 2:
+            f = m.closure(f)
+        x = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) & ~f
+        if i % 4 == 3:
+            for b in m.params.repair_sets:
+                if b & ~f:
+                    x |= 1 << rng.choice(bits_of(b & ~f))
+        yield f, x
+    for extra in (0, 1, 2):
+        # K = one leftover kept whole plus `extra` other members: while F + K does
+        # not span and K holds no other whole leftover, k' = |K| - 1 and the
+        # leftover is a circuit of k' + 1 - extra members (extra = 1: |b - F| = k')
+        f = m.closure(rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n))
+        leftovers = [b & ~f for b in m.params.repair_sets if b & ~f]
+        if leftovers:
+            keep = rng.choice(leftovers)
+            others = bits_of(m.ground & ~f & ~keep)
+            for e in rng.sample(others, min(extra, len(others))):
+                keep |= 1 << e
+            yield f, m.ground & ~f & ~keep
+    built = [witness_eq1(m), witness_eq2(m)]
+    if r > 2:
+        try:
+            built.append(witness_eq3(m, rng.randrange(2, r)))
+        except SizeRefusal:  # an eq3 gap case: the oracle refuses n > 15
+            pass
+    if k > r + 1:
+        built.append(witness_eq4(m, rng.randrange(r + 1, k)))
+    for w in built:
+        yield w.contract_flat, w.delete_set
+        if w.delete_set:
+            yield w.contract_flat, w.delete_set & ~(1 << rng.choice(bits_of(w.delete_set)))
 
 
 def test_verify_witness_rejects_non_flat_on_seeded_partition():
