@@ -12,8 +12,7 @@ of the index.  Uniformity, `is_uniform`, ranks the k-subsets in batches:
 the generic reference scan, which takes seconds near its limit.  Closure and
 the uniformity of a minor are methods, `Matroid.closure` and
 `Matroid.uniform_minor`: the generic rank scans here, which a matroid
-with closed forms (`mr.MrMatroid`) overrides.  The scans hold masks in
-int64 arrays, so a member at bit 63 is refused (`subsets.as_int64`).
+with closed forms (`mr.MrMatroid`) overrides.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SizeRefusal
 from .subsets import (
-    as_int64,
     bits_of,
     full_mask,
     masks_of_size,
@@ -54,7 +52,7 @@ class Matroid:
         raise NotImplementedError
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
-        """Vectorized rank; default falls back to the scalar oracle."""
+        """Ranks of a uint64 mask array, as an int64 array; the default falls back to the scalar oracle."""
         import numpy as np
 
         return np.fromiter(
@@ -120,7 +118,7 @@ def uniform_matroid(n: int, k: int) -> TableMatroid:
         raise ParameterError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
     import numpy as np
 
-    masks = np.arange(1 << n, dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.uint64)
     return TableMatroid(n, np.minimum(popcount_array(masks), k))
 
 
@@ -143,7 +141,7 @@ class MinorView(Matroid):
         return self.base.rank(x | self.contract) - self._r0
 
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
-        return self.base.rank_array(masks | as_int64(self.contract)) - self._r0
+        return self.base.rank_array(masks | self.contract) - self._r0
 
 
 def minor(m: Matroid, contract_x: int, delete_y: int) -> MinorView:
@@ -162,21 +160,20 @@ def _rank_table(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
     so subs ascends and memory is O(2^t) whatever the highest member.
     rk holds their ranks, from rank_array in batches of _RANK_BATCH masks.
     Axis 1 of x.reshape(-1, 2, 2^j) is bit j of the index, for x either
-    array.  A member at bit 63 does not fit int64 and is refused
-    (ParameterError, from as_int64).
+    array.
     """
     import numpy as np
 
-    idx = np.arange(1 << m.ground_size, dtype=np.int64)
+    idx = np.arange(1 << m.ground_size, dtype=np.uint64)
     subs = np.zeros_like(idx)
     j, rest = 0, m.ground
     while rest:
         lo = (rest & -rest).bit_length() - 1
         run = ((rest >> lo) ^ ((rest >> lo) + 1)).bit_length() - 1
         members = ((1 << run) - 1) << lo
-        subs |= (idx << (lo - j)) & as_int64(members)
+        subs |= (idx << (lo - j)) & members
         j, rest = j + run, rest & ~members
-    rk = np.empty_like(subs)
+    rk = np.empty(len(subs), np.int64)
     for i in range(0, len(subs), _RANK_BATCH):
         rk[i : i + _RANK_BATCH] = m.rank_array(subs[i : i + _RANK_BATCH])
     return subs, rk
@@ -276,8 +273,7 @@ def is_uniform(m: Matroid):
     batch, so memory is bounded by about one batch and the scan stops at
     the first batch with a rank-deficient subset.  A rank-0 matroid needs
     no case of its own: its one 0-subset, the empty set, has rank 0, so it
-    is U_t^0.  A member at bit 63 does not fit int64 and is refused
-    (ParameterError, from as_int64).  Refuses above _UNIFORM_LIMIT = 2^23 =
+    is U_t^0.  Refuses above _UNIFORM_LIMIT = 2^23 =
     8,388,608 k-subsets, which bounds a scan to about 2 s: at about 0.2 us a
     mask, the 6,906,900 9-subsets of the (35,9,4) eq1 minor take 1.1-1.4 s
     on a 2-CPU x86-64 VM, and the 8,436,285 10-subsets of the (36,10,3) eq1
@@ -295,10 +291,9 @@ def is_uniform(m: Matroid):
         )
     import numpy as np
 
-    as_int64(m.ground)
     masks = masks_of_size(m.ground, k)
     for left in range(work, 0, -_RANK_BATCH):
-        batch = np.fromiter(masks, np.int64, count=min(left, _RANK_BATCH))
+        batch = np.fromiter(masks, np.uint64, count=min(left, _RANK_BATCH))
         if (m.rank_array(batch) != k).any():
             return None
     return (t, k)

@@ -62,7 +62,6 @@ class MinorWitness:
     claimed_size: int
     verified: bool = False
     boundary_case: bool = False
-    formula_size: int | None = None
 
     def to_line(self) -> str:
         return (
@@ -118,7 +117,7 @@ def _witness(m: MrMatroid, f: int, k_prime: int, formula_size: int) -> MinorWitn
         if rest.bit_count() <= k_prime:
             x |= rest & -rest
     size = m.ground_size - f.bit_count() - x.bit_count()
-    return _verified(m, MinorWitness(f, x, k_prime, size, True, size != formula_size, formula_size))
+    return _verified(m, MinorWitness(f, x, k_prime, size, True, size != formula_size))
 
 
 def _verified(m: Matroid, w: MinorWitness) -> MinorWitness:

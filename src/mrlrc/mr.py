@@ -175,15 +175,13 @@ class MrMatroid(Matroid):
     def rank_array(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized rank: popcount minus the repair sets each mask holds whole, truncated at k.
 
-        One containment pass per repair set, on the masks' uint64 view, so
-        a repair set at bit 63 needs no int64 form.
+        One containment pass per repair set.
         """
         import numpy as np
 
-        bits = masks.view(np.uint64)
         rank = popcount_array(masks)
         for b in self.params.repair_sets:
-            rank -= (bits & b) == b
+            rank -= (masks & b) == b
         return np.minimum(self.params.k, rank)
 
 

@@ -77,15 +77,6 @@ def masks_of_size(mask: int, t: int) -> Iterator[int]:
     return map(sum, combinations([1 << e for e in bits_of(mask)], t))
 
 
-def as_int64(mask: int) -> np.int64:
-    """mask as an int64 array entry; a member at bit 63 does not fit and is a ParameterError."""
-    import numpy as np
-
-    if mask >> 63:
-        raise ParameterError(f"member 63 of mask {mask:#x} does not fit the int64 masks of a rank scan")
-    return np.int64(mask)
-
-
 def format_indices(mask: int) -> str:
     return ",".join(map(str, bits_of(mask)))
 
@@ -105,7 +96,7 @@ def parse_indices(text: str) -> int:
 
 
 def popcount_array(a: np.ndarray) -> np.ndarray:
-    """Popcount of each entry of an int64 array; returns int64 array (numpy >= 2.0)."""
+    """Popcount of each entry of a uint64 mask array; returns int64 array (numpy >= 2.0)."""
     import numpy as np
 
-    return np.bitwise_count(a.view(np.uint64)).astype(np.int64)
+    return np.bitwise_count(a).astype(np.int64)

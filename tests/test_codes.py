@@ -102,7 +102,7 @@ def test_search_finds_mr_code_and_matches_matroid():
     assert is_mr_lrc(gm, p)
     lm = code_to_matroid(gm)
     m = make_mr(8, 4, 3)
-    subs = np.array(submasks(m.ground), dtype=np.int64)
+    subs = np.array(submasks(m.ground), dtype=np.uint64)
     assert (lm.rank_array(subs) == m.rank_array(subs)).all()
 
 

@@ -41,7 +41,7 @@ def test_axioms_fail_non_monotone():
 
 def _pair_scan(m):
     """Reference axiom check: (R1, R2, R3) verdicts over all 4^t subset pairs."""
-    subs = np.array(submasks(m.ground), dtype=np.int64)
+    subs = np.array(submasks(m.ground), dtype=np.uint64)
     rk = m.rank_array(subs)
     table = np.full(1 << m.ground.bit_length(), -1, dtype=np.int64)
     table[subs] = rk
@@ -122,7 +122,7 @@ def _gather_scan(m):
     """
     t = m.ground_size
     idx = np.arange(1 << t, dtype=np.int64)
-    subs = np.array(submasks(m.ground), dtype=np.int64)  # dense index order
+    subs = np.array(submasks(m.ground), dtype=np.uint64)  # dense index order
     rk = m.rank_array(subs)
     found = {}
     bad1 = (rk < 0) | (rk > popcount_array(subs))
@@ -257,12 +257,17 @@ def test_scans_of_wide_minors_are_sized_by_the_ground():
         assert check_axioms(view).passed
 
 
-def test_scans_refuse_a_member_at_bit_63():
+def test_scans_answer_at_bit_63():
+    # the 12 members at bits 52-63 of (64,40,3) are three whole repair sets, as
+    # bits 20-31 of (40,20,3) are: the same flats, 32 bits higher
     m = make_mr(64, 40, 3)
-    view = minor(m, 0, m.ground & ~(0xFF << 56))
-    for scan in (flats, check_axioms, is_uniform):
-        with pytest.raises(ParameterError, match="member 63 of mask"):
-            scan(view)
+    view = minor(m, 0, m.ground & ~(0xFFF << 52))
+    low = make_mr(40, 20, 3)
+    assert flats(view) == [f << 32 for f in flats(minor(low, 0, low.ground & ~(0xFFF << 20)))]
+    assert check_axioms(view).passed
+    # the two repair sets at bits 56-63 are 4-member circuits of a rank-6 view: not uniform, as at bits 20-27
+    assert is_uniform(minor(m, 0, m.ground & ~(0xFF << 56))) is None
+    assert is_uniform(minor(m, 0, m.ground & ~(0xFF << 20))) is None
 
 
 def test_minor_view_rank_formula():
@@ -301,7 +306,7 @@ def test_minor_order_independence_exhaustive_n8():
         y = rng.getrandbits(8) & m.ground & ~x
         a = minor(m, x, y)
         b = minor(minor(m, 0, y), x, 0)
-        subs = np.array(submasks(a.ground), dtype=np.int64)
+        subs = np.array(submasks(a.ground), dtype=np.uint64)
         assert (a.rank_array(subs) == b.rank_array(subs)).all()
 
 
@@ -314,7 +319,7 @@ def test_minor_order_independence_random_12():
         a = minor(minor(m, x, 0), 0, y)
         b = minor(minor(m, 0, y), x, 0)
         assert a.ground == b.ground
-        subs = np.array(submasks(a.ground), dtype=np.int64)
+        subs = np.array(submasks(a.ground), dtype=np.uint64)
         assert (a.rank_array(subs) == b.rank_array(subs)).all()
 
 
@@ -385,7 +390,7 @@ def test_is_uniform_rank_zero_view():
 def _is_uniform_by_definition(m):
     """Definition-level check: rank(X) = min(|X|, rank(E)) for every subset."""
     k = m.full_rank()
-    subs = np.array(submasks(m.ground), dtype=np.int64)
+    subs = np.array(submasks(m.ground), dtype=np.uint64)
     rk = m.rank_array(subs)
     if (rk == np.minimum(popcount_array(subs), k)).all():
         return (m.ground_size, k)

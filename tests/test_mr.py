@@ -73,8 +73,8 @@ def _seeded_partition(rng, n, r):
 
 
 def _assert_rank_array(m, masks):
-    """rank_array of one batch equals the scalar rank of each mask."""
-    masks = np.asarray(masks, dtype=np.int64)
+    """rank_array of one uint64 batch equals the scalar rank of each mask."""
+    masks = np.asarray(masks, dtype=np.uint64)
     got = m.rank_array(masks)
     assert got.dtype == np.int64 and got.shape == masks.shape
     assert got.tolist() == [m.rank(int(x)) for x in masks]
@@ -82,7 +82,7 @@ def _assert_rank_array(m, masks):
 
 def test_rank_array_matches_scalar():
     m = make_mr(12, 7, 3)
-    masks = np.arange(1 << 12, dtype=np.int64)  # the whole rank table, as flats and check_axioms rank it
+    masks = np.arange(1 << 12, dtype=np.uint64)  # the whole rank table, as flats and check_axioms rank it
     arr = m.rank_array(masks)
     assert arr.tolist() == [m.rank(x) for x in range(1 << 12)]
     rng = random.Random(5)
@@ -111,8 +111,10 @@ def test_rank_array_matches_scalar():
             # a one-mask batch and an empty batch
             _assert_rank_array(m, [rng.getrandbits(n)])
             _assert_rank_array(m, [])
-    # a repair set at bit 63, which no int64 mask holds whole
-    _assert_rank_array(make_mr(64, 40, 3), [rng.getrandbits(63) for _ in range(300)])
+    # 64-bit masks, some holding the repair set {60..63} at bit 63 whole
+    masks = [rng.getrandbits(64) for _ in range(300)]
+    assert any(x >> 60 == 0xF for x in masks)
+    _assert_rank_array(make_mr(64, 40, 3), masks)
 
 
 def test_closure_closed_form_matches_rank_scan():
@@ -173,7 +175,7 @@ def test_uniform_minor_closed_form_matches_is_uniform():
                     ), (n, k, r, partition, f, x)
                 else:
                     assert got == ((m.ground & ~f & ~x).bit_count(), view.full_rank()), (n, k, r, partition, f, x)
-                if comb(view.ground_size, view.full_rank()) <= 5000 and not (f | view.ground) >> 63:
+                if comb(view.ground_size, view.full_rank()) <= 5000:
                     assert got == Matroid.uniform_minor(m, f, x), (n, k, r, partition, f, x)
                     scanned += 1
                 key = (n == 64, got is None)
@@ -185,6 +187,37 @@ def test_uniform_minor_closed_form_matches_is_uniform():
         m.uniform_minor(0b11, 0b10)
     with pytest.raises(ValueError):
         m.uniform_minor(0, 1 << 8)
+
+
+def test_uniform_minor_closed_form_matches_is_uniform_at_n_64():
+    """At n = 64, where every partition has a repair set holding bit 63, the closed
+    form and is_uniform agree on the eq3 k' = 2 witness of every triple with r >= 3,
+    and on F = every repair set but the last two, with X empty or the lowest member
+    of the last set, wherever that minor has at most 20,000 k'-subsets."""
+    witnesses, verdicts = 0, {}
+    for n, k, r in valid_param_triples(64):
+        if n < 64 or r < 3:
+            continue
+        m = make_mr(n, k, r)
+        w = witness_eq3(m, 2)
+        f, x = w.contract_flat, w.delete_set
+        assert Matroid.uniform_minor(m, f, x) == m.uniform_minor(f, x) == (w.claimed_size, 2), (k, r)
+        witnesses += 1
+        sets = m.params.repair_sets
+        f = sum(sets[:-2])
+        for x in (0, sets[-1] & -sets[-1]):
+            view = minor(m, f, x)
+            if comb(view.ground_size, view.full_rank()) > 20000:
+                continue
+            got = m.uniform_minor(f, x)
+            assert got == Matroid.uniform_minor(m, f, x), (k, r, x)
+            verdicts[got is None] = verdicts.get(got is None, 0) + 1
+    assert witnesses == 170
+    assert verdicts == {False: 204, True: 28}, verdicts
+    # (64,48,3): the two leftovers are whole repair sets of 4 <= k' = 6 members
+    m = make_mr(64, 48, 3)
+    f = sum(m.params.repair_sets[:-2])
+    assert m.uniform_minor(f, 0) is None and Matroid.uniform_minor(m, f, 0) is None
 
 
 def _large_pairs(rng, m):

@@ -83,8 +83,9 @@ def test_masks_of_size_matches_loop():
 
 def test_popcount_array_matches_python():
     rng = np.random.default_rng(0)
-    vals = rng.integers(0, 1 << 62, size=1000, dtype=np.int64)
-    vals = np.concatenate([vals, [0, 1 << 62, (1 << 63) - 1, (1 << 62) | 1]]).astype(np.int64)
+    vals = rng.integers(0, 1 << 64, size=1000, dtype=np.uint64)
+    extra = [0, 1 << 62, (1 << 63) - 1, (1 << 62) | 1, 1 << 63, (1 << 64) - 1]
+    vals = np.concatenate([vals, np.array(extra, dtype=np.uint64)])
     expect = np.array([int(v).bit_count() for v in vals])
     got = popcount_array(vals)
     assert got.dtype == np.int64 and (got == expect).all()
