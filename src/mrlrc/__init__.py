@@ -9,9 +9,7 @@ from .bounds import (
     eq4_size,
     gopi_alpha,
     largest_uniform_size,
-    q_lower_conjectural,
     q_lower_gopalan,
-    q_lower_unconditional,
     sweep,
     threshold_report,
 )

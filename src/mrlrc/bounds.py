@@ -84,63 +84,17 @@ def q_lower_gopalan(p: MrParams) -> int:
     return p.k + 1
 
 
-def _q_unconditional_raw(p: MrParams, by_rank: dict[int, int] | None = None) -> int:
+def _q_unconditional_raw(p: MrParams) -> int:
     """Field-size bound not relying on the MDS conjecture, before clamping.
 
     The MDS length bound q >= n' - k' + 1 of a U_{n'}^{k'} minor: the
-    rank-2 minor (eq2 when r = 2, eq3 when r >= 3) or, for r = 1, which has
-    no rank-2 family, the rank-k minor of size n - g.  n' is read from
-    by_rank, the `_sizes_by_rank` of a report; without it, the sizes are
-    evaluated with eq3 at k' = 2 alone.
+    rank-2 minor (eq2 when r = 2, eq3 at k' = 2 when r >= 3) or, for r = 1,
+    which has no rank-2 family, the rank-k minor of size n - g.  Only that
+    one size is evaluated.
     """
-    if by_rank is None:
-        by_rank = _sizes_by_rank(p, eq3_range(p)[:1])
-    kp = p.k if p.r == 1 else 2
-    return by_rank[kp] - kp + 1
-
-
-def q_lower_unconditional(p: MrParams) -> int:
-    """Field-size bound not relying on the MDS conjecture, clamped at 2."""
-    return max(_q_unconditional_raw(p), 2)
-
-
-@dataclass(frozen=True)
-class ConjecturalBound:
-    """MDS-conjecture-based bound: n' - 1, with the even-q exceptional cases flagged."""
-
-    value: int
-    safe_value: int
-    exception_possible: bool
-    achiever_ranks: tuple[int, ...]
-
-
-def q_lower_conjectural(p: MrParams) -> ConjecturalBound:
-    """Largest uniform-minor size minus one, assuming the MDS conjecture.
-
-    The conjecture's exceptions (q even with dimension 3 or q-1) cannot be
-    ruled out from (n, k, r) alone, so the bound is reported as a pair:
-    the optimistic n'-1 and the safe n'-2, with a flag whenever some
-    achieving rank could hit an exceptional case.
-    """
-    return _conjectural(largest_uniform_size(p), _sizes_by_rank(p, _listed(eq3_range(p), "eq3")))
-
-
-def _sizes_by_rank(p: MrParams, eq3_ranks: range) -> dict[int, int]:
-    """Formula size of the families the theorem maximises over, by rank, each evaluated once:
-    eq1 (rank k), eq2 (rank r) and eq3 at each of eq3_ranks (within 2 <= k' <= r-1)."""
-    eq3 = {kp: eq3_size(p, kp) for kp in eq3_ranks}
-    return {p.k: eq1_size(p), p.r: eq2_size(p), **eq3}
-
-
-def _conjectural(best: int, by_rank: dict[int, int]) -> ConjecturalBound:
-    ranks = tuple(kp for kp in sorted(by_rank) if by_rank[kp] == best)
-    return ConjecturalBound(
-        value=max(best - 1, 2),
-        safe_value=max(best - 2, 2),
-        # exceptional dimensions for q = best - 1: dimension 3, or dimension q - 1
-        exception_possible=any(kp == 3 or kp == best - 2 for kp in ranks),
-        achiever_ranks=ranks,
-    )
+    if p.r == 1:
+        return eq1_size(p) - p.k + 1
+    return (eq2_size(p) if p.r == 2 else eq3_size(p, 2)) - 1
 
 
 def gopi_alpha(p: MrParams) -> Fraction | None:
@@ -187,14 +141,20 @@ def threshold_report(p: MrParams) -> ThresholdReport:
     return ThresholdReport(
         rate=rate,
         threshold=thr,
-        improves=q_lower_unconditional(p) > q_lower_gopalan(p),
+        improves=max(_q_unconditional_raw(p), 2) > q_lower_gopalan(p),
         near_boundary=rate == thr or p.r == 1,
     )
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All bound and size values for one parameter triple."""
+    """All bound and size values for one parameter triple.
+
+    q_conjectural is the largest uniform-minor size minus one, assuming the
+    MDS conjecture.  Its exceptions (q even with dimension 3 or q - 1) cannot
+    be ruled out from (n, k, r) alone, so the safe n' - 2 is reported beside
+    it, with a flag whenever one of the achiever_ranks could hit one.
+    """
 
     params: MrParams
     eq1_size: int
@@ -204,7 +164,10 @@ class BoundsReport:
     largest_uniform: int
     q_unconditional: int
     q_unconditional_vacuous: bool
-    q_conjectural: ConjecturalBound
+    q_conjectural: int
+    q_conjectural_safe: int
+    q_conjectural_exception_possible: bool
+    achiever_ranks: tuple[int, ...]
     q_gopalan: int
     gopi_alpha: Fraction | None
 
@@ -227,10 +190,10 @@ class BoundsReport:
             f"largest_uniform={self.largest_uniform}",
             f"q_unconditional={self.q_unconditional}",
             f"q_unconditional_vacuous={str(self.q_unconditional_vacuous).lower()}",
-            f"q_conjectural={self.q_conjectural.value}",
-            f"q_conjectural_safe={self.q_conjectural.safe_value}",
-            f"q_conjectural_exception_possible={str(self.q_conjectural.exception_possible).lower()}",
-            f"achiever_ranks={','.join(str(x) for x in self.q_conjectural.achiever_ranks)}",
+            f"q_conjectural={self.q_conjectural}",
+            f"q_conjectural_safe={self.q_conjectural_safe}",
+            f"q_conjectural_exception_possible={str(self.q_conjectural_exception_possible).lower()}",
+            f"achiever_ranks={','.join(str(x) for x in self.achiever_ranks)}",
             f"q_gopalan={self.q_gopalan}",
             f"gopi_alpha={self.gopi_alpha if self.gopi_alpha is not None else 'undefined'}",
         ]
@@ -244,32 +207,38 @@ class BoundsReport:
         kp = max(e3, key=lambda j: (e3[j], -j), default=None)
         cols = (
             p.n, p.g, p.h, self.eq1_size, self.eq2_size, "" if kp is None else kp, e3.get(kp, ""),
-            self.largest_uniform, self.q_unconditional, self.q_conjectural.value, self.q_gopalan,
+            self.largest_uniform, self.q_unconditional, self.q_conjectural, self.q_gopalan,
         )
         return ",".join(map(str, cols))
 
 
 def compute_bounds(p: MrParams) -> BoundsReport:
-    """Every size and bound of p, each formula size evaluated once."""
+    """Every size and bound of p: the only evaluator of the conjectural bound and its flags."""
     eq4_ranks = _listed(eq4_range(p), "eq4")
-    eq3_ranks = _listed(eq3_range(p), "eq3")
-    by_rank = _sizes_by_rank(p, eq3_ranks)
-    q_raw = _q_unconditional_raw(p, by_rank)
+    eq3 = {kp: eq3_size(p, kp) for kp in _listed(eq3_range(p), "eq3")}
+    # the families the theorem maximises over, by rank: eq1 (rank k), eq2 (rank r) and eq3
+    by_rank = {p.k: eq1_size(p), p.r: eq2_size(p), **eq3}
     best = largest_uniform_size(p)
     if best != max(by_rank.values()):
         raise RuntimeError(
             f"theorem consistency violated for {p.to_text()}: {best} vs {max(by_rank.values())}"
         )
+    q_raw = _q_unconditional_raw(p)
+    achievers = tuple(kp for kp in sorted(by_rank) if by_rank[kp] == best)
     return BoundsReport(
         params=p,
         eq1_size=by_rank[p.k],
         eq2_size=by_rank[p.r],
-        eq3_sizes={kp: by_rank[kp] for kp in eq3_ranks},
+        eq3_sizes=eq3,
         eq4_sizes={kp: eq4_size(p, kp) for kp in eq4_ranks},
         largest_uniform=best,
         q_unconditional=max(q_raw, 2),
         q_unconditional_vacuous=q_raw < 2,
-        q_conjectural=_conjectural(best, by_rank),
+        q_conjectural=max(best - 1, 2),
+        q_conjectural_safe=max(best - 2, 2),
+        # exceptional dimensions for q = best - 1: dimension 3, or dimension q - 1
+        q_conjectural_exception_possible=any(kp == 3 or kp == best - 2 for kp in achievers),
+        achiever_ranks=achievers,
         q_gopalan=q_lower_gopalan(p),
         gopi_alpha=gopi_alpha(p),
     )

@@ -21,7 +21,6 @@ from mrlrc.bounds import (
     eq4_size,
     gopi_alpha,
     largest_uniform_size,
-    q_lower_unconditional,
     sweep,
     threshold_report,
 )
@@ -136,15 +135,16 @@ def test_acceptance_5_sweep_rows(capfd):
 
 
 def test_acceptance_6_field_size_bounds(capfd):
-    ok = q_lower_unconditional(make_params(40, 7, 3)) == 34
-    ok &= q_lower_unconditional(make_params(12, 7, 3)) == 4
+    ok = compute_bounds(make_params(40, 7, 3)).q_unconditional == 34
+    ok &= compute_bounds(make_params(12, 7, 3)).q_unconditional == 4
 
     boundary_rows = 0
     inconsistent = []
     for n, k, r in valid_param_triples(200):
         p = make_params(n, k, r)
-        compute_bounds(p)  # raises if the closed forms disagree internally
+        b = compute_bounds(p)  # raises if the closed forms disagree internally
         t = threshold_report(p)
+        ok &= t.improves == (b.q_unconditional > b.q_gopalan)
         if t.near_boundary:
             boundary_rows += 1
         elif t.improves != (t.rate <= t.threshold):
@@ -167,7 +167,7 @@ def test_acceptance_7_code_level_closure(capfd):
     ok = gm is not None
     if ok:
         ok &= q_used <= 16
-        ok &= q_used >= q_lower_unconditional(p)
+        ok &= q_used >= compute_bounds(p).q_unconditional
         lm = code_to_matroid(gm)
         m = make_mr(8, 4, 3)
         subs = np.array(submasks(m.ground), dtype=np.uint64)

@@ -16,9 +16,7 @@ from mrlrc.bounds import (
     eq4_size,
     gopi_alpha,
     largest_uniform_size,
-    q_lower_conjectural,
     q_lower_gopalan,
-    q_lower_unconditional,
     rate_threshold,
     sweep,
     threshold_report,
@@ -126,8 +124,8 @@ def test_profile_optimum_matches_the_size_formulas():
 
 
 def test_q_unconditional_frozen_values():
-    assert q_lower_unconditional(make_params(40, 7, 3)) == 34
-    assert q_lower_unconditional(make_params(12, 7, 3)) == 4
+    assert compute_bounds(make_params(40, 7, 3)).q_unconditional == 34
+    assert compute_bounds(make_params(12, 7, 3)).q_unconditional == 4
     assert q_lower_gopalan(make_params(12, 7, 3)) == 8
 
 
@@ -141,23 +139,23 @@ def test_q_unconditional_clamp_and_vacuous_flag():
             else (p.n - p.k + 1 - max((-p.h) // 2 + p.g, 0))
         )
         assert _q_unconditional_raw(p) == raw, (n, k, r)
-        q = q_lower_unconditional(p)
-        assert q == max(raw, 2)
-        assert compute_bounds(p).q_unconditional_vacuous == (raw < 2)
+        b = compute_bounds(p)
+        assert b.q_unconditional == max(raw, 2)
+        assert b.q_unconditional_vacuous == (raw < 2)
 
 
 def test_q_conjectural():
     p = make_params(12, 7, 3)
-    c = q_lower_conjectural(p)
-    assert c.value == largest_uniform_size(p) - 1 == 8
-    assert c.safe_value == 7
+    c = compute_bounds(p)
+    assert c.q_conjectural == largest_uniform_size(p) - 1 == 8
+    assert c.q_conjectural_safe == 7
     assert 7 in c.achiever_ranks  # the rank-k minor attains the maximum
     p40 = make_params(40, 7, 3)
-    c40 = q_lower_conjectural(p40)
-    assert c40.value == 34
+    c40 = compute_bounds(p40)
+    assert c40.q_conjectural == 34
     # achieving rank 2 is neither 3 nor value-1, so no exception flag
     assert c40.achiever_ranks == (2,)
-    assert not c40.exception_possible
+    assert not c40.q_conjectural_exception_possible
 
 
 def test_q_conjectural_exception_flag():
@@ -165,13 +163,13 @@ def test_q_conjectural_exception_flag():
     found = False
     for n, k, r in valid_param_triples(40):
         p = make_params(n, k, r)
-        c = q_lower_conjectural(p)
+        c = compute_bounds(p)
         best = largest_uniform_size(p)
         if any(kp == 3 or kp == best - 2 for kp in c.achiever_ranks):
-            assert c.exception_possible
+            assert c.q_conjectural_exception_possible
             found = True
         else:
-            assert not c.exception_possible
+            assert not c.q_conjectural_exception_possible
     assert found
 
 
@@ -179,8 +177,6 @@ def test_families_past_2000_ranks_are_refused():
     # eq3 lists r - 2 sizes and eq4 k - r - 1; 2,000 of either is the most a report lists
     assert len(compute_bounds(make_params(4006, 2003, 2002)).eq3_sizes) == 2000
     assert len(compute_bounds(make_params(4006, 2002, 1)).eq4_sizes) == 2000
-    with pytest.raises(SizeRefusal, match="eq3 size of each of 2001 ranks"):
-        q_lower_conjectural(make_params(4008, 2004, 2003))
     with pytest.raises(SizeRefusal, match="eq3 size of each of 2001 ranks"):
         compute_bounds(make_params(4008, 2004, 2003))
     with pytest.raises(SizeRefusal, match="eq4 size of each of 2001 ranks"):
@@ -219,7 +215,8 @@ def test_threshold_boundary_rows_are_ties():
     p = make_params(40, 18, 3)  # rate 9/20 == threshold
     t = threshold_report(p)
     assert t.near_boundary
-    assert q_lower_unconditional(p) == q_lower_gopalan(p)
+    b = compute_bounds(p)
+    assert b.q_unconditional == b.q_gopalan
 
 
 def test_compute_bounds_report_text():
